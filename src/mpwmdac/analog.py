@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,12 @@ from .modwave import (
     BitWaveform,
     DutyCode,
     EdgeList,
-    Kind,
     ModulatorConfig,
     _coerce_duty,
     count_pulses,
-    fons_wave,
-    hr_mpwm_wave,
-    mpwm_wave,
+    generate,
 )
+from .spectral import _hold_envelope
 
 __all__ = [
     "EdgeModel",
@@ -67,11 +66,16 @@ class EdgeModel:
     supply_rel_err: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("t_dr", "t_df", "t_rise", "t_fall", "u_s", "supply_rel_err"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("t_dr", "t_df", "t_rise", "t_fall"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.u_s <= 0:
             raise ParameterError(f"u_s must be positive, got {self.u_s}")
+        if self.supply_rel_err <= -1:
+            raise ParameterError(f"supply_rel_err must be > -1, got {self.supply_rel_err}")
 
     @property
     def dw(self) -> float:
@@ -98,8 +102,8 @@ class FilterModel:
     f_c: float
 
     def __post_init__(self) -> None:
-        if self.f_c <= 0:
-            raise ParameterError(f"f_c must be positive, got {self.f_c}")
+        if not (math.isfinite(self.f_c) and self.f_c > 0):
+            raise ParameterError(f"f_c must be finite and positive, got {self.f_c}")
 
     @property
     def omega_c(self) -> float:
@@ -229,14 +233,6 @@ def to_analog(
     return AnalogTrace(samples, rate, 0.0, period)
 
 
-def _generate(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform | EdgeList:
-    if cfg.kind == Kind.FONS:
-        return fons_wave(cfg, duty)
-    if cfg.kind == Kind.HRMPWM:
-        return hr_mpwm_wave(cfg, duty)
-    return mpwm_wave(cfg, duty)
-
-
 def _ideal_fraction(cfg: ModulatorConfig, duty: DutyCode) -> float:
     """Duty fraction including the fine code, exact dyadic arithmetic."""
     fine_den = 1 << cfg.fine_bits
@@ -269,7 +265,7 @@ def dc_average(
         raise ParameterError("dc_average takes an AnalogTrace or (config, duty[, em])")
     cfg = arg
     duty = _coerce_duty(cfg, duty)
-    pulses = count_pulses(_generate(cfg, duty))
+    pulses = count_pulses(generate(cfg, duty))
     u_lsb = em.u_nominal / cfg.steps
     return _ideal_fraction(cfg, duty) * em.u_s + pulses * em.dw * cfg.f_clk * u_lsb
 
@@ -313,8 +309,7 @@ def _tower_coeffs(bits: np.ndarray, k_max: int) -> np.ndarray:
     n = bits.size
     dft = np.fft.fft(bits.astype(float)) / n
     k = np.arange(k_max + 1)
-    env = np.exp(-1j * np.pi * k / n) * np.sinc(k / n)
-    return dft[k % n] * env
+    return dft[k % n] * _hold_envelope(k, n)
 
 
 def steady_ripple(
@@ -332,7 +327,7 @@ def steady_ripple(
     the swing (cross-check path); the two agree within 1%.
     """
     duty = _coerce_duty(cfg, duty)
-    wave = _generate(cfg, duty)
+    wave = generate(cfg, duty)
     if isinstance(wave, EdgeList):
         raise ParameterError("steady_ripple expects a cycle-quantized modulator kind")
     if method == "time":
@@ -366,8 +361,8 @@ def settling_time(
     settling instant is the last crossing of the closed-form response
     envelope, found by bracketed root search; it scales exactly as 1/f_c.
     """
-    if band_lsb <= 0:
-        raise ParameterError(f"band_lsb must be positive, got {band_lsb}")
+    if not (math.isfinite(band_lsb) and band_lsb > 0):
+        raise ParameterError(f"band_lsb must be finite and positive, got {band_lsb}")
     if step == "one_lsb":
         b = band_lsb
     elif step == "full_scale":

@@ -33,15 +33,7 @@ import numpy as np
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time, to_analog
 from .errors import ParameterError
 from .metrics import MetricsReport, conversion_rate, required_cutoff
-from .modwave import (
-    DutyCode,
-    Kind,
-    ModulatorConfig,
-    count_pulses,
-    fons_wave,
-    hr_mpwm_wave,
-    mpwm_wave,
-)
+from .modwave import DutyCode, EdgeList, Kind, ModulatorConfig, count_pulses, generate
 from .periph import PeripheralFault, run_script, trace_to_csv, trace_to_vcd
 from .spectral import dominant_harmonics, superpose_coeffs
 
@@ -76,8 +68,12 @@ def parse_freq(text: str) -> float:
     return _parse_with_units(text, _FREQ_UNITS, "frequency")
 
 
-def _config_header(config: dict) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
+def _write_csv(path: Path, config: dict, write_body) -> None:
+    """Write the `# config:` header line, then the CSV that write_body(fp) emits."""
+    buf = io.StringIO()
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    write_body(buf)
+    path.write_text(buf.getvalue())
 
 
 def _write_table(path: Path, config: dict, columns: list[str], rows: list[list], fmt: str) -> None:
@@ -85,12 +81,12 @@ def _write_table(path: Path, config: dict, columns: list[str], rows: list[list],
         payload = {"config": config, "rows": [dict(zip(columns, r)) for r in rows]}
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
-    buf = io.StringIO()
-    buf.write(_config_header(config))
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
-    path.write_text(buf.getvalue())
+
+    def write_rows(fp: io.TextIOBase) -> None:
+        for row in [columns, *rows]:
+            fp.write(",".join(str(v) for v in row) + "\n")
+
+    _write_csv(path, config, write_rows)
 
 
 def _fmt(value: float) -> str:
@@ -102,11 +98,9 @@ def _build_config(args) -> ModulatorConfig:
     sf = args.sf
     if kind == Kind.PCM:
         sf = args.n - 1
-    fine_bits = getattr(args, "fine_bits", 0)
-    if kind == Kind.HRMPWM and fine_bits == 0:
-        fine_bits = 4
-    if kind != Kind.HRMPWM:
-        fine_bits = 0
+    fine_bits = args.fine_bits
+    if fine_bits is None:
+        fine_bits = 4 if kind == Kind.HRMPWM else 0
     return ModulatorConfig(kind, args.n, sf, parse_freq(args.fclk), fine_bits)
 
 
@@ -129,7 +123,6 @@ def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:
         "sf": cfg.sf,
         "f_clk_hz": cfg.f_clk,
         "fine_bits": cfg.fine_bits,
-        "seed": args.seed,
     }
     config.update(extra)
     return config
@@ -144,35 +137,30 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for duty in args.duty:
-        duty_code = DutyCode(duty, args.fine)
+        wave = generate(cfg, DutyCode(duty, args.fine))
         config = _resolved(args, cfg, duty=duty, fine=args.fine)
-        stem = f"bits_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{duty}"
-        if cfg.kind == Kind.HRMPWM:
-            wave = hr_mpwm_wave(cfg, duty_code)
+        if isinstance(wave, EdgeList):
             stem = f"edges_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{duty}_f{args.fine}"
+            columns = ["time_s", "polarity"]
             rows = [
                 [_fmt(t), "rising" if r else "falling"]
                 for t, r in zip(wave.times, wave.risings)
             ]
-            path = out_dir / f"{stem}.{args.format}"
-            _write_table(path, config, ["time_s", "polarity"], rows, args.format)
-            pulses = count_pulses(wave)
             high = wave.high_time()
         else:
-            wave = fons_wave(cfg, duty) if cfg.kind == Kind.FONS else mpwm_wave(cfg, duty)
+            stem = f"bits_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{duty}"
+            columns = ["cycle", "bit"]
             rows = [[i, int(b)] for i, b in enumerate(wave.bits)]
-            path = out_dir / f"{stem}.{args.format}"
-            _write_table(path, config, ["cycle", "bit"], rows, args.format)
-            pulses = count_pulses(wave)
             high = wave.duty_count / cfg.f_clk
-        entry = {"duty": duty, "file": str(path), "pulses": pulses, "high_time_s": high}
+        path = out_dir / f"{stem}.{args.format}"
+        _write_table(path, config, columns, rows, args.format)
+        entry = {
+            "duty": duty, "file": str(path), "pulses": count_pulses(wave), "high_time_s": high,
+        }
         if args.trace:
             trace = to_analog(wave, IDEAL_EDGES, args.oversample)
             trace_path = out_dir / f"trace_{stem}.csv"
-            buf = io.StringIO()
-            buf.write(_config_header({**config, "oversample": args.oversample}))
-            trace.write_csv(buf)
-            trace_path.write_text(buf.getvalue())
+            _write_csv(trace_path, {**config, "oversample": args.oversample}, trace.write_csv)
             entry["trace_file"] = str(trace_path)
         summary.append(entry)
     print(json.dumps({"generated": summary}, sort_keys=True))
@@ -186,10 +174,7 @@ def cmd_spectrum(args) -> int:
     spec = superpose_coeffs(cfg, args.duty, k_max=args.kmax)
     config = _resolved(args, cfg, duty=args.duty, k_max=spec.k_max)
     path = out_dir / f"spectrum_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{args.duty}.csv"
-    buf = io.StringIO()
-    buf.write(_config_header(config))
-    spec.write_csv(buf)
-    path.write_text(buf.getvalue())
+    _write_csv(path, config, spec.write_csv)
     summary = {"file": str(path), "dc": spec.dc, "fundamental_hz": spec.fundamental_hz}
     peaks = dominant_harmonics(spec)
     if peaks is None:
@@ -221,10 +206,7 @@ def cmd_metrics(args) -> int:
         supply_rel_err=em.supply_rel_err,
     )
     path = out_dir / f"metrics_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}.csv"
-    buf = io.StringIO()
-    buf.write(_config_header(config))
-    report.write_curves_csv(buf)
-    path.write_text(buf.getvalue())
+    _write_csv(path, config, report.write_curves_csv)
     summary = report.summary()
     summary["curves_file"] = str(path)
     print(json.dumps(summary, sort_keys=True))
@@ -266,47 +248,47 @@ def cmd_settle(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "filter_response.csv"
         grid = fm.f_c * np.logspace(-2, 3, 101)
-        buf = io.StringIO()
-        buf.write(_config_header({"command": "settle", "f_c_hz": fm.f_c, "seed": args.seed}))
-        fm.write_response_table(buf, grid)
-        path.write_text(buf.getvalue())
+        _write_csv(path, {"command": "settle", "f_c_hz": fm.f_c},
+                   lambda fp: fm.write_response_table(fp, grid))
         payload["response_table"] = str(path)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
 
-def _repro_cutoff(args, out_dir: Path) -> Path:
+def _repro_cutoffs(args):
+    """(config, required cutoff) for every valid (n, sf); PWM at sf = 0."""
+    f_clk = parse_freq(args.fclk)
+    for n in args.n_list:
+        for sf in args.sf_list:
+            if sf > n - 1:
+                continue
+            cfg = ModulatorConfig.pwm(n, f_clk) if sf == 0 else ModulatorConfig.mpwm(n, sf, f_clk)
+            yield cfg, required_cutoff(cfg, args.ripple_target)
+
+
+def _repro_cutoff(args) -> tuple[dict, list[str], list[list]]:
     columns = [
         "n", "sf", "f_ct_required", "f_c_hz", "worst_duty",
         "worst_ripple_lsb", "rule_of_thumb_f_ct",
     ]
     rows = []
-    for n in args.n_list:
-        for sf in args.sf_list:
-            if sf > n - 1:
-                continue
-            cfg = ModulatorConfig.pwm(n, parse_freq(args.fclk)) if sf == 0 else \
-                ModulatorConfig.mpwm(n, sf, parse_freq(args.fclk))
-            res = required_cutoff(cfg, args.ripple_target)
-            rule = res.rule_of_thumb_f_ct
-            rows.append(
-                [
-                    n, sf, _fmt(res.f_ct), _fmt(res.f_c_hz), res.worst_duty,
-                    _fmt(res.worst_ripple_lsb),
-                    _fmt(rule) if rule is not None else "",
-                ]
-            )
-    path = out_dir / f"repro_cutoff_vs_resolution.{args.format}"
+    for cfg, res in _repro_cutoffs(args):
+        rule = res.rule_of_thumb_f_ct
+        rows.append(
+            [
+                cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), res.worst_duty,
+                _fmt(res.worst_ripple_lsb),
+                _fmt(rule) if rule is not None else "",
+            ]
+        )
     config = {
-        "command": "repro", "figure": "cutoff_vs_resolution",
         "n_list": args.n_list, "sf_list": args.sf_list,
-        "ripple_target_lsb": args.ripple_target, "seed": args.seed,
+        "ripple_target_lsb": args.ripple_target,
     }
-    _write_table(path, config, columns, rows, args.format)
-    return path
+    return config, columns, rows
 
 
-def _repro_inl_dnl(args, out_dir: Path) -> Path:
+def _repro_inl_dnl(args) -> tuple[dict, list[str], list[list]]:
     em = EdgeModel(t_dr=parse_time(args.tdr), t_df=parse_time(args.tdf))
     f_clk = parse_freq(args.fclk)
     n = args.n
@@ -317,41 +299,24 @@ def _repro_inl_dnl(args, out_dir: Path) -> Path:
     for cfg in configs:
         report = MetricsReport.gather(cfg, em)
         rows.append([cfg.kind.value, n, cfg.sf, _fmt(report.inl_lsb), _fmt(report.dnl_lsb)])
-    path = out_dir / f"repro_inl_dnl.{args.format}"
-    config = {
-        "command": "repro", "figure": "inl_dnl", "n": n,
-        "t_dr_s": em.t_dr, "t_df_s": em.t_df, "f_clk_hz": f_clk, "seed": args.seed,
-    }
-    _write_table(path, config, ["kind", "n", "sf", "inl_lsb", "dnl_lsb"], rows, args.format)
-    return path
+    config = {"n": n, "t_dr_s": em.t_dr, "t_df_s": em.t_df, "f_clk_hz": f_clk}
+    return config, ["kind", "n", "sf", "inl_lsb", "dnl_lsb"], rows
 
 
-def _repro_settling(args, out_dir: Path) -> Path:
-    f_clk = parse_freq(args.fclk)
+def _repro_settling(args) -> tuple[dict, list[str], list[list]]:
     rows = []
-    for n in args.n_list:
-        for sf in args.sf_list:
-            if sf > n - 1:
-                continue
-            cfg = ModulatorConfig.pwm(n, f_clk) if sf == 0 else ModulatorConfig.mpwm(n, sf, f_clk)
-            res = required_cutoff(cfg, args.ripple_target)
-            fm = FilterModel(res.f_c_hz)
-            rate, settle = conversion_rate(cfg, fm, band_lsb=args.band)
-            rows.append([n, sf, _fmt(res.f_ct), _fmt(res.f_c_hz), _fmt(settle), _fmt(rate)])
-    path = out_dir / f"repro_settling.{args.format}"
+    for cfg, res in _repro_cutoffs(args):
+        rate, settle = conversion_rate(cfg, FilterModel(res.f_c_hz), band_lsb=args.band)
+        rows.append([cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), _fmt(settle), _fmt(rate)])
     config = {
-        "command": "repro", "figure": "settling", "n_list": args.n_list,
-        "sf_list": args.sf_list, "ripple_target_lsb": args.ripple_target,
-        "band_lsb": args.band, "seed": args.seed,
+        "n_list": args.n_list, "sf_list": args.sf_list,
+        "ripple_target_lsb": args.ripple_target, "band_lsb": args.band,
     }
     columns = ["n", "sf", "f_ct_required", "f_c_hz", "settling_s", "max_conversion_rate_hz"]
-    _write_table(path, config, columns, rows, args.format)
-    return path
+    return config, columns, rows
 
 
 def cmd_repro(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     builders = {
         "cutoff_vs_resolution": _repro_cutoff,
         "inl_dnl": _repro_inl_dnl,
@@ -361,7 +326,12 @@ def cmd_repro(args) -> int:
         raise ParameterError(
             f"unknown figure {args.figure!r}; choose from {sorted(builders)}"
         )
-    path = builders[args.figure](args, out_dir)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config, columns, rows = builders[args.figure](args)
+    path = out_dir / f"repro_{args.figure}.{args.format}"
+    _write_table(path, {"command": "repro", "figure": args.figure, **config}, columns, rows,
+                 args.format)
     print(json.dumps({"figure": args.figure, "file": str(path)}, sort_keys=True))
     return 0
 
@@ -398,11 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format")
-    common.add_argument("--oversample", type=int, default=64)
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; all algorithms are deterministic")
+
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="data file format")
 
     mod = argparse.ArgumentParser(add_help=False)
     mod.add_argument("--kind", required=True,
@@ -410,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--n", type=int, required=True)
     mod.add_argument("--sf", type=int, default=0)
     mod.add_argument("--fclk", default="100MHz")
-    mod.add_argument("--fine-bits", dest="fine_bits", type=int, default=0)
+    mod.add_argument("--fine-bits", dest="fine_bits", type=int, default=None,
+                     help="fine delay-line bits (hrmpwm only; default 4)")
 
     edges = argparse.ArgumentParser(add_help=False)
     edges.add_argument("--tdr", default="0", help="rising-edge delay (e.g. 1ns)")
@@ -420,9 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     edges.add_argument("--us", type=float, default=1.0, help="supply voltage")
     edges.add_argument("--supply-err", dest="supply_err", type=float, default=0.0)
 
-    p = sub.add_parser("gen", parents=[common, mod], help="generate waveforms")
+    p = sub.add_parser("gen", parents=[common, fmt, mod], help="generate waveforms")
     p.add_argument("--duty", type=int, nargs="+", required=True)
     p.add_argument("--fine", type=int, default=0)
+    p.add_argument("--oversample", type=int, default=64,
+                   help="trace samples per clock cycle")
     p.add_argument("--trace", action="store_true",
                    help="also render an ideal-edge analog trace CSV")
     p.set_defaults(func=cmd_gen)
@@ -453,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export the filter magnitude/phase table")
     p.set_defaults(func=cmd_settle)
 
-    p = sub.add_parser("repro", parents=[common], help="figure-reproduction sweeps")
+    p = sub.add_parser("repro", parents=[common, fmt], help="figure-reproduction sweeps")
     p.add_argument("--figure", required=True)
     p.add_argument("--n-list", dest="n_list", type=int, nargs="+", default=[8, 10, 12])
     p.add_argument("--sf-list", dest="sf_list", type=int, nargs="+", default=[0, 3, 7])

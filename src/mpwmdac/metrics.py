@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,9 @@ from .modwave import (
     Kind,
     ModulatorConfig,
     _coerce_duty,
+    _require_mpwm_family,
     count_pulses,
-    fons_wave,
-    mpwm_wave,
+    generate,
 )
 
 __all__ = [
@@ -43,12 +44,10 @@ __all__ = [
 ]
 
 
-def _pulse_wave(cfg: ModulatorConfig, duty: int | DutyCode):
-    if cfg.kind == Kind.FONS:
-        return fons_wave(cfg, duty)
+def _pulses(cfg: ModulatorConfig, duty: int | DutyCode) -> int:
     if cfg.kind == Kind.HRMPWM:
         raise ParameterError("static metrics operate on the cycle-quantized kinds")
-    return mpwm_wave(cfg, duty)
+    return count_pulses(generate(cfg, duty))
 
 
 def static_error(
@@ -60,16 +59,14 @@ def static_error(
     duty) and the edge term pulse_count * dw * f_clk.
     """
     duty = _coerce_duty(cfg, duty)
-    pulses = count_pulses(_pulse_wave(cfg, duty))
+    pulses = _pulses(cfg, duty)
     supply_term = em.supply_rel_err * duty.coarse
     return supply_term + pulses * em.dw * cfg.f_clk
 
 
 def edge_counts_sweep(cfg: ModulatorConfig) -> np.ndarray:
     """Pulse count of the generated waveform for every duty code."""
-    return np.array(
-        [count_pulses(_pulse_wave(cfg, d)) for d in range(cfg.steps)], dtype=np.int64
-    )
+    return np.array([_pulses(cfg, d) for d in range(cfg.steps)], dtype=np.int64)
 
 
 def inl(cfg: ModulatorConfig, em: EdgeModel) -> tuple[float, int]:
@@ -77,9 +74,12 @@ def inl(cfg: ModulatorConfig, em: EdgeModel) -> tuple[float, int]:
 
     Returns (magnitude in LSB, worst-offending duty code).
     """
-    counts = edge_counts_sweep(cfg)
+    return _inl_of_counts(edge_counts_sweep(cfg), cfg, em)
+
+
+def _inl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
     worst = int(np.argmax(counts))
-    return int(counts[worst]) * abs(em.dw) * cfg.f_clk, worst
+    return float(counts[worst] * abs(em.dw) * cfg.f_clk), worst
 
 
 def inl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
@@ -95,7 +95,10 @@ def dnl(cfg: ModulatorConfig, em: EdgeModel) -> tuple[float, int]:
     max over D of |(avg(D+1) - avg(D)) / u_lsb - 1|, which reduces to
     |delta pulse_count * dw * f_clk|; returns (magnitude, worst duty).
     """
-    counts = edge_counts_sweep(cfg)
+    return _dnl_of_counts(edge_counts_sweep(cfg), cfg, em)
+
+
+def _dnl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
     step_err = np.abs(np.diff(counts)) * abs(em.dw) * cfg.f_clk
     worst = int(np.argmax(step_err))
     return float(step_err[worst]), worst
@@ -154,10 +157,9 @@ def required_cutoff(
     the budget re-enters the search.  For PWM the rule-of-thumb closed form
     is reported alongside.
     """
-    if ripple_target <= 0:
-        raise ParameterError(f"ripple_target must be positive, got {ripple_target}")
-    if not (cfg.is_mpwm_family and cfg.kind != Kind.HRMPWM):
-        raise ParameterError("required_cutoff supports the pwm/pcm/mpwm kinds")
+    if not (math.isfinite(ripple_target) and ripple_target > 0):
+        raise ParameterError(f"ripple_target must be finite and positive, got {ripple_target}")
+    _require_mpwm_family(cfg)
 
     period = cfg.period
 
@@ -206,12 +208,7 @@ def required_cutoff(
                 lo = mid
         f_ct = lo
         # confirm no pruned-away duty breaks the budget at the answer
-        ripples = np.array(
-            [steady_ripple(cfg, int(d), fm_at(f_ct)) for d in all_duties]
-        )
-        worst_idx = int(np.argmax(ripples))
-        worst_duty = int(all_duties[worst_idx])
-        worst_r = float(ripples[worst_idx])
+        worst_r, worst_duty = worst_steady_ripple(cfg, fm_at(f_ct))
         if worst_r <= ripple_target * (1.0 + 1e-9) or worst_duty in candidates:
             rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
             return CutoffResult(
@@ -289,13 +286,9 @@ class MetricsReport:
             static_error_lsb=[float(e) for e in errors],
             edge_counts=[int(c) for c in counts],
         )
-        inl_sweep = int(counts.max()) * abs(em.dw) * cfg.f_clk
-        report.inl_lsb = float(inl_sweep)
-        report.inl_worst_duty = int(counts.argmax())
+        report.inl_lsb, report.inl_worst_duty = _inl_of_counts(counts, cfg, em)
         report.inl_formula_lsb = inl_closed_form(cfg, em)
-        step_err = np.abs(np.diff(counts)) * abs(em.dw) * cfg.f_clk
-        report.dnl_lsb = float(step_err.max())
-        report.dnl_worst_duty = int(step_err.argmax())
+        report.dnl_lsb, report.dnl_worst_duty = _dnl_of_counts(counts, cfg, em)
         report.dnl_formula_lsb = dnl_closed_form(cfg, em)
         if ripple_target is not None:
             cut = required_cutoff(cfg, ripple_target)

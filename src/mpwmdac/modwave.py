@@ -19,6 +19,7 @@ oracles in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -40,6 +41,7 @@ __all__ = [
     "decoder_states",
     "fons_wave",
     "hr_mpwm_wave",
+    "generate",
     "count_pulses",
     "edge_count_formula",
 ]
@@ -77,8 +79,8 @@ class ModulatorConfig:
             raise ParameterError(
                 f"sf must be in [0, {self.n - 1}] for n={self.n}, got {self.sf}"
             )
-        if not self.f_clk > 0:
-            raise ParameterError(f"f_clk must be positive, got {self.f_clk}")
+        if not (math.isfinite(self.f_clk) and self.f_clk > 0):
+            raise ParameterError(f"f_clk must be finite and positive, got {self.f_clk}")
         if self.kind == Kind.PWM and self.sf != 0:
             raise ParameterError(f"PWM requires sf=0, got sf={self.sf}")
         if self.kind == Kind.PCM and self.sf != self.n - 1:
@@ -120,10 +122,6 @@ class ModulatorConfig:
         if self.fine_bits == 0:
             return 0.0
         return 1.0 / ((1 << self.fine_bits) * self.f_clk)
-
-    @property
-    def is_mpwm_family(self) -> bool:
-        return self.kind in (Kind.PWM, Kind.PCM, Kind.MPWM, Kind.HRMPWM)
 
     # -- convenience constructors -------------------------------------------
 
@@ -313,9 +311,7 @@ def rearranged_counter(n: int, sf: int) -> np.ndarray:
 
 def _require_mpwm_family(cfg: ModulatorConfig) -> None:
     if cfg.kind not in (Kind.MPWM, Kind.PWM, Kind.PCM):
-        raise ParameterError(
-            f"kind must be one of pwm/pcm/mpwm for this generator, got {cfg.kind.value}"
-        )
+        raise ParameterError(f"kind must be one of pwm/pcm/mpwm, got {cfg.kind.value}")
 
 
 def mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
@@ -404,6 +400,15 @@ def hr_mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> EdgeList:
     times[falling_idx[-1]] += shift
     order = np.argsort(times, kind="stable")
     return EdgeList(times[order], edges.risings[order], cfg.period, cfg.f_clk)
+
+
+def generate(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform | EdgeList:
+    """One period of any kind: an EdgeList for HRMPWM, else a BitWaveform."""
+    if cfg.kind == Kind.FONS:
+        return fons_wave(cfg, duty)
+    if cfg.kind == Kind.HRMPWM:
+        return hr_mpwm_wave(cfg, duty)
+    return mpwm_wave(cfg, duty)
 
 
 def count_pulses(wave: BitWaveform | EdgeList) -> int:

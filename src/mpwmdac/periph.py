@@ -11,12 +11,14 @@ Register map (32-bit word addresses):
     CTRL   @ 0x00   bit0 EN, bits7..4 SF          (SF change rejected while EN=1)
     NBITS  @ 0x04   counter width n, 4..16        (rejected while EN=1)
     DUTY   @ 0x08   coarse duty, double-buffered  (latched at period boundaries)
-    HRDUTY @ 0x0C   4-bit fine duty, double-buffered
+    HRDUTY @ 0x0C   4-bit fine duty (stored and read back only)
     STATUS @ 0x10   bit0 DLL_LOCKED               (read-only)
 
 Reserved bits read as zero and are ignored on write.  The fine delay line
-models 16 phases (fine_bits = 4); the output is forced low until the lock
-latency elapses.
+has 16 phases (fine_bits = 4), but the fine stage is not emulated in the
+bit stream: HRDUTY is only stored and read back, and the output carries the
+coarse MPWM waveform.  The output is forced low until the lock latency
+elapses.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class MpwmPeripheral:
         self._duty_shadow = 0
         self._hrduty_shadow = 0
         self._duty_active = 0
-        self._hrduty_active = 0
         self._counter = 0
         self._cycles_since_en = 0
         self._cr = rearranged_counter(self._n, self._sf)
@@ -114,7 +115,6 @@ class MpwmPeripheral:
                 self._counter = 0
                 self._cycles_since_en = 0
                 self._duty_active = self._duty_shadow & (self._size - 1)
-                self._hrduty_active = self._hrduty_shadow
                 self._cr = rearranged_counter(self._n, self._sf)
         elif addr == ADDR_NBITS:
             if self._en:
@@ -182,7 +182,6 @@ class MpwmPeripheral:
         state.update(
             counter=self._counter,
             duty_active=self._duty_active,
-            hrduty_active=self._hrduty_active,
             cycles_since_en=self._cycles_since_en,
         )
         return state
@@ -206,7 +205,6 @@ class MpwmPeripheral:
             if self._counter == self._size:
                 self._counter = 0
                 self._duty_active = self._duty_shadow & (self._size - 1)
-                self._hrduty_active = self._hrduty_shadow
         return out
 
 

@@ -182,13 +182,21 @@ def superpose_coeffs(
     return Spectrum(coeffs, cfg.f_clk / cfg.steps, cfg.steps)
 
 
+def _hold_envelope(k: np.ndarray, size: int) -> np.ndarray:
+    """Zero-order-hold factor exp(-j pi k/N) * sinc(k/N) for harmonics k.
+
+    Multiplying DFT bin X_(k mod N) of an N-sample period by it gives the
+    series coefficient a_k of the held (staircase) continuous waveform.
+    """
+    return np.exp(-1j * np.pi * k / size) * np.sinc(k / size)
+
+
 def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
     """Numeric spectrum of one period via FFT plus hold correction.
 
-    The DFT bin X_k describes the sample train; multiplying by
-    exp(-j pi k/N) * sinc(k/N) converts it to the series coefficient of the
-    held (zero-order) continuous waveform, so analytic and numeric spectra
-    agree to machine precision.
+    The DFT bin X_k describes the sample train; `_hold_envelope` converts it
+    to the series coefficient of the held (zero-order) continuous waveform,
+    so analytic and numeric spectra agree to machine precision.
     """
     size = len(wave)
     if size & (size - 1):
@@ -202,8 +210,7 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
         )
     bins = np.fft.rfft(wave.bits.astype(float)) / size
     k = np.arange(k_max + 1)
-    env = np.exp(-1j * np.pi * k / size) * np.sinc(k / size)
-    return Spectrum(bins[: k_max + 1] * env, wave.f_clk / size, size)
+    return Spectrum(bins[: k_max + 1] * _hold_envelope(k, size), wave.f_clk / size, size)
 
 
 def dominant_harmonics(

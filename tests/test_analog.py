@@ -132,6 +132,18 @@ def test_filter_preserves_period_mean():
     assert np.mean(out.samples) == pytest.approx(np.mean(trace.samples), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: EdgeModel(t_dr=float("nan")), lambda: EdgeModel(t_fall=float("inf")),
+     lambda: EdgeModel(u_s=float("nan")), lambda: EdgeModel(supply_rel_err=float("-inf")),
+     lambda: EdgeModel(supply_rel_err=-1.0), lambda: FilterModel(float("inf")),
+     lambda: settling_time(FilterModel(250.0), band_lsb=float("nan"))],
+)
+def test_non_finite_or_degenerate_values_rejected(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_filter_transient_approaches_steady_state():
     fm = FilterModel(2e3)
     rate = 1e6

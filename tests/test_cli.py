@@ -220,6 +220,37 @@ def test_parameter_error_record(tmp_path, capsys):
     assert "sf" in record["detail"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a strict JSON token")
+
+
+# The non-finite values the benchmark probes (bench/workloads.py), plus the
+# settle cutoff and band; none of them used to exit 2.
+_NON_FINITE = [
+    ["cutoff", "--kind", "mpwm", "--n", "6", "--sf", "3", opt]
+    for opt in ("--ripple-target=nan", "--ripple-target=inf", "--ripple-target=-inf",
+                "--fclk=inf", "--fclk=nan")
+] + [
+    ["metrics", "--kind", "pwm", "--n", "6", "--tdr", "1ns", opt]
+    for opt in ("--tdr=nan", "--tdf=inf", "--fclk=inf", "--fclk=nan", "--us=nan")
+] + [["settle", "--fc=nan"], ["settle", "--fc", "250", "--band=nan"]]
+# flags that do not apply to the kind, once silently dropped
+_WRONG_KIND = [
+    ["gen", "--kind", "mpwm", "--n", "5", "--sf", "1", "--duty", "3", "--fine", "2"],
+    ["gen", "--kind", "pwm", "--n", "5", "--duty", "3", "--fine-bits", "3"],
+    ["metrics", "--kind", "hrmpwm", "--n", "5", "--sf", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND, ids=" ".join)
+def test_rejected_input_is_strict_json_parameter_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    record = json.loads(err, parse_constant=_reject_constant)
+    assert record["error"] == "parameter_error"
+
+
 def test_gen_trace_export(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "gen", "--kind", "pwm", "--n", "4", "--duty", "8",

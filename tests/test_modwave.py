@@ -15,6 +15,7 @@ from mpwmdac import (
     count_pulses,
     edge_count_formula,
     fons_wave,
+    generate,
     hr_mpwm_wave,
     mpwm_wave,
     mpwm_wave_decoder,
@@ -289,6 +290,24 @@ def test_generator_kind_checks():
         fons_wave(ModulatorConfig.pwm(5), 3)
     with pytest.raises(ParameterError, match="hrmpwm"):
         hr_mpwm_wave(ModulatorConfig.mpwm(5, 1), 3)
+
+
+def test_generate_matches_the_kind_generator():
+    for n in range(2, 6):
+        configs = [ModulatorConfig.pwm(n), ModulatorConfig.pcm(n), ModulatorConfig.fons(n)]
+        configs += [ModulatorConfig.mpwm(n, sf) for sf in range(n)]
+        for cfg in configs:
+            ref = fons_wave if cfg.kind == Kind.FONS else mpwm_wave
+            for d in range(cfg.steps):
+                assert np.array_equal(generate(cfg, d).bits, ref(cfg, d).bits)
+        for sf in range(n):
+            cfg = ModulatorConfig.hr_mpwm(n, sf, fine_bits=2)
+            for d in range(cfg.steps):
+                for fine in range(4):
+                    got = generate(cfg, DutyCode(d, fine))
+                    want = hr_mpwm_wave(cfg, DutyCode(d, fine))
+                    assert np.array_equal(got.times, want.times)
+                    assert np.array_equal(got.risings, want.risings)
 
 
 def test_edge_list_wrapped_pulse_high_time():
