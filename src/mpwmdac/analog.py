@@ -304,12 +304,23 @@ def filter_response(
     return AnalogTrace(y, trace.sample_rate, trace.t0, trace.period_s)
 
 
-def _tower_coeffs(bits: np.ndarray, k_max: int) -> np.ndarray:
-    """Hold-corrected series coefficients for k = 0..k_max (k may exceed N)."""
-    n = bits.size
-    dft = np.fft.fft(bits.astype(float)) / n
+def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
+    """Filtered steady-state period of a bit pattern on 16 samples per slot.
+
+    Sums the hold-corrected series coefficients a_k times H(j 2 pi k / T)
+    for k = 0..4 * 2**n; harmonics beyond the bins repeat the DFT bin of
+    k mod 2**n under the hold envelope.
+    """
+    size = cfg.steps
+    k_max = 4 * size
+    grid = 16 * size
+    dft = np.fft.fft(bits.astype(float)) / size
     k = np.arange(k_max + 1)
-    return dft[k % n] * _hold_envelope(k, n)
+    coeffs = dft[k % size] * _hold_envelope(k, size)
+    h = fm.freq_response(k * cfg.f_clk / size)  # harmonic k sits at k/T
+    spec = np.zeros(grid // 2 + 1, dtype=complex)
+    spec[: k_max + 1] = coeffs * h * grid
+    return np.fft.irfft(spec, n=grid)
 
 
 def steady_ripple(
@@ -336,16 +347,8 @@ def steady_ripple(
         return float(out.samples.max() - out.samples.min()) * cfg.steps
     if method != "harmonic":
         raise ParameterError(f"method must be 'harmonic' or 'time', got {method!r}")
-    size = cfg.steps
-    k_max = 4 * size
-    grid = 16 * size
-    coeffs = _tower_coeffs(wave.bits, k_max)
-    k = np.arange(k_max + 1)
-    h = fm.freq_response(k * cfg.f_clk / size)  # harmonic k sits at k/T
-    spec = np.zeros(grid // 2 + 1, dtype=complex)
-    spec[: k_max + 1] = coeffs * h * grid
-    y = np.fft.irfft(spec, n=grid)
-    return float(y.max() - y.min()) * size
+    y = _harmonic_period(wave.bits, cfg, fm)
+    return float(y.max() - y.min()) * cfg.steps
 
 
 def settling_time(
@@ -363,6 +366,8 @@ def settling_time(
     """
     if not (math.isfinite(band_lsb) and band_lsb > 0):
         raise ParameterError(f"band_lsb must be finite and positive, got {band_lsb}")
+    if not 2 <= n_bits <= 16:
+        raise ParameterError(f"n_bits must be in [2, 16], got {n_bits}")
     if step == "one_lsb":
         b = band_lsb
     elif step == "full_scale":
@@ -383,4 +388,7 @@ def settling_time(
         m -= 1
     sign = 1.0 if m % 2 == 0 else -1.0
     theta = brentq(lambda th: dev(th) - sign * b, m * np.pi, (m + 1) * np.pi)
-    return float(np.sqrt(2.0) * theta / fm.omega_c)
+    seconds = math.sqrt(2.0) * theta / float(fm.omega_c)
+    if not math.isfinite(seconds):
+        raise ParameterError(f"settling time overflows for f_c = {fm.f_c} Hz")
+    return seconds

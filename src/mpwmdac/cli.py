@@ -26,6 +26,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +69,15 @@ def parse_freq(text: str) -> float:
     return _parse_with_units(text, _FREQ_UNITS, "frequency")
 
 
+def _json(obj, **kwargs) -> str:
+    """Strict RFC 8259 JSON with sorted keys; a NaN or infinity raises."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _write_csv(path: Path, config: dict, write_body) -> None:
     """Write the `# config:` header line, then the CSV that write_body(fp) emits."""
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    buf.write("# config: " + _json(config) + "\n")
     write_body(buf)
     path.write_text(buf.getvalue())
 
@@ -79,7 +85,7 @@ def _write_csv(path: Path, config: dict, write_body) -> None:
 def _write_table(path: Path, config: dict, columns: list[str], rows: list[list], fmt: str) -> None:
     if fmt == "json":
         payload = {"config": config, "rows": [dict(zip(columns, r)) for r in rows]}
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        path.write_text(_json(payload, indent=2) + "\n")
         return
 
     def write_rows(fp: io.TextIOBase) -> None:
@@ -163,7 +169,7 @@ def cmd_gen(args) -> int:
             _write_csv(trace_path, {**config, "oversample": args.oversample}, trace.write_csv)
             entry["trace_file"] = str(trace_path)
         summary.append(entry)
-    print(json.dumps({"generated": summary}, sort_keys=True))
+    print(_json({"generated": summary}))
     return 0
 
 
@@ -188,7 +194,7 @@ def cmd_spectrum(args) -> int:
             f2_hz=peaks.f2,
             amp2_over_dc=peaks.amp2_over_dc,
         )
-    print(json.dumps(summary, sort_keys=True))
+    print(_json(summary))
     return 0
 
 
@@ -209,26 +215,16 @@ def cmd_metrics(args) -> int:
     _write_csv(path, config, report.write_curves_csv)
     summary = report.summary()
     summary["curves_file"] = str(path)
-    print(json.dumps(summary, sort_keys=True))
+    print(_json(summary))
     return 0
 
 
 def cmd_cutoff(args) -> int:
     cfg = _build_config(args)
     result = required_cutoff(cfg, args.ripple_target)
-    payload = {
-        "kind": cfg.kind.value,
-        "n": cfg.n,
-        "sf": cfg.sf,
-        "ripple_target_lsb": result.ripple_target_lsb,
-        "f_ct": result.f_ct,
-        "f_c_hz": result.f_c_hz,
-        "worst_duty": result.worst_duty,
-        "worst_ripple_lsb": result.worst_ripple_lsb,
-    }
-    if result.rule_of_thumb_f_ct is not None:
-        payload["rule_of_thumb_f_ct"] = result.rule_of_thumb_f_ct
-    print(json.dumps(payload, sort_keys=True))
+    payload = {"kind": cfg.kind.value, "n": cfg.n, "sf": cfg.sf}
+    payload.update((k, v) for k, v in asdict(result).items() if v is not None)
+    print(_json(payload))
     return 0
 
 
@@ -241,7 +237,7 @@ def cmd_settle(args) -> int:
         "band_lsb": args.band,
         "n": args.n,
         "settling_s": seconds,
-        "max_conversion_rate_hz": (1.0 / seconds) if seconds > 0 else float("inf"),
+        "max_conversion_rate_hz": (1.0 / seconds) if seconds > 0 else None,  # None: unbounded
     }
     if args.response_table:
         out_dir = Path(args.out)
@@ -251,7 +247,7 @@ def cmd_settle(args) -> int:
         _write_csv(path, {"command": "settle", "f_c_hz": fm.f_c},
                    lambda fp: fm.write_response_table(fp, grid))
         payload["response_table"] = str(path)
-    print(json.dumps(payload, sort_keys=True))
+    print(_json(payload))
     return 0
 
 
@@ -332,7 +328,7 @@ def cmd_repro(args) -> int:
     path = out_dir / f"repro_{args.figure}.{args.format}"
     _write_table(path, {"command": "repro", "figure": args.figure, **config}, columns, rows,
                  args.format)
-    print(json.dumps({"figure": args.figure, "file": str(path)}, sort_keys=True))
+    print(_json({"figure": args.figure, "file": str(path)}))
     return 0
 
 
@@ -352,7 +348,7 @@ def cmd_periph(args) -> int:
         "vcd": str(vcd_path),
         "csv": str(csv_path),
     }
-    print(json.dumps(payload, sort_keys=True))
+    print(_json(payload))
     return 0
 
 
@@ -450,17 +446,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except PeripheralFault as fault:
-        record = {"error": fault.code.value, "detail": str(fault)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
+        record, code = {"error": fault.code.value, "detail": str(fault)}, 1
     except ParameterError as exc:
-        record = {"error": "parameter_error", "detail": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
+        record, code = {"error": "parameter_error", "detail": str(exc)}, 2
     except OSError as exc:
-        record = {"error": "io_error", "detail": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
+        record, code = {"error": "io_error", "detail": str(exc)}, 2
+    print(_json(record), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

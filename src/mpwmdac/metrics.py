@@ -12,11 +12,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time, steady_ripple
+from .analog import _harmonic_period
 from .errors import ParameterError
 from .modwave import (
     DutyCode,
@@ -26,6 +27,7 @@ from .modwave import (
     _require_mpwm_family,
     count_pulses,
     generate,
+    rearranged_counter,
 )
 
 __all__ = [
@@ -109,25 +111,52 @@ def dnl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
     return abs(em.dw) * cfg.f_clk
 
 
+_REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
+
+
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
     """Classic PWM design rule f_c*T = 0.81 * sqrt(ripple / 2**n)."""
     return 0.81 * np.sqrt(ripple_lsb / (1 << n))
 
 
-def worst_steady_ripple(
-    cfg: ModulatorConfig,
-    fm: FilterModel,
-    duties: np.ndarray | None = None,
-) -> tuple[float, int]:
-    """Largest steady-state ripple over the given duty codes (default all)."""
-    if duties is None:
-        duties = np.arange(1, cfg.steps)
-    worst, arg = -1.0, 0
-    for d in duties:
-        r = steady_ripple(cfg, int(d), fm)
-        if r > worst:
-            worst, arg = r, int(d)
-    return worst, arg
+def _ripple_margin(cfg: ModulatorConfig) -> float:
+    """LSB bound on |summed - per-duty ripple|: 2**n terms, each off by about
+    log2(16 * 2**n) * eps of full scale (2**n LSB) from FFT and add rounding."""
+    return cfg.steps**2 * (cfg.n + 4) * np.finfo(float).eps
+
+
+def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
+    """Harmonic-route ripple in LSB of codes 1..2**n-1 from one running sum.
+
+    Code D is code D-1 plus the slot whose rearranged counter word is D-1,
+    so its filtered period is the previous one plus the unit-slot response
+    rolled by 16 grid samples per slot.
+    """
+    _require_mpwm_family(cfg)
+    unit = _harmonic_period(np.eye(1, cfg.steps, dtype=np.uint8)[0], cfg, fm)
+    grid = unit.size
+    tiled = np.tile(unit, 2)  # tiled[grid - s : 2 * grid - s] is unit rolled by s
+    y = np.zeros(grid)
+    ripples = np.empty(cfg.steps - 1)
+    for d, slot in enumerate(np.argsort(rearranged_counter(cfg.n, cfg.sf))[:-1]):
+        y += tiled[grid - 16 * slot : 2 * grid - 16 * slot]
+        ripples[d] = y.max() - y.min()
+    return ripples * cfg.steps
+
+
+def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int]:
+    """Largest steady-state ripple over duty codes 1..2**n-1 and its code.
+
+    Every code whose summed ripple lies within the rounding margin of the
+    largest is re-evaluated with `steady_ripple`, so the result equals the
+    per-duty maximum exactly, the lowest code on a tie.  PWM, MPWM and PCM
+    only: FONS codes are not nested in the duty.
+    """
+    ripples = _summed_ripples(cfg, fm)
+    near = np.nonzero(ripples >= ripples.max() - _ripple_margin(cfg))[0] + 1
+    exact = [steady_ripple(cfg, int(d), fm) for d in near]
+    best = int(np.argmax(exact))
+    return exact[best], int(near[best])
 
 
 @dataclass(frozen=True)
@@ -142,20 +171,16 @@ class CutoffResult:
     rule_of_thumb_f_ct: float | None
 
 
-def required_cutoff(
-    cfg: ModulatorConfig,
-    ripple_target: float,
-    rel_tol: float = 5e-3,
-    candidate_count: int = 64,
-) -> CutoffResult:
+def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     """Largest normalized cutoff f_c*T keeping worst-case ripple in budget.
 
-    Bisects the cutoff against the worst steady ripple over all duty codes
-    (harmonic-summation path).  For speed at large n the duty search is
-    pruned to the strongest candidates found in one full sweep, then the
-    final answer is re-verified against every duty; a candidate that breaks
-    the budget re-enters the search.  For PWM the rule-of-thumb closed form
-    is reported alongside.
+    Brackets the rule-of-thumb guess by halving or doubling, then bisects
+    geometrically down to hi/lo <= 1 + _REL_TOL against the exact worst
+    steady ripple over all duty codes (`worst_steady_ripple`).  Bisection
+    assumes that ripple is non-decreasing in f_c*T.  It holds for every
+    PWM/MPWM/PCM config with n <= 8 on [1e-3, SN]; the first decrease
+    seen lies near 1.45 * SN (PWM), where the ripple exceeds full scale.
+    For PWM the rule-of-thumb closed form is reported alongside.
     """
     if not (math.isfinite(ripple_target) and ripple_target > 0):
         raise ParameterError(f"ripple_target must be finite and positive, got {ripple_target}")
@@ -163,64 +188,41 @@ def required_cutoff(
 
     period = cfg.period
 
-    def fm_at(f_ct: float) -> FilterModel:
-        return FilterModel(f_ct / period)
+    def worst_at(f_ct: float) -> tuple[float, int]:
+        return worst_steady_ripple(cfg, FilterModel(f_ct / period))
 
-    guess = cutoff_rule_of_thumb(cfg.n, ripple_target) * max(1, cfg.sn)
-    all_duties = np.arange(1, cfg.steps)
-    if cfg.steps <= 512:
-        candidates = all_duties
-    else:
-        ripples = np.array(
-            [steady_ripple(cfg, int(d), fm_at(guess)) for d in all_duties]
-        )
-        order = np.argsort(ripples)[::-1][:candidate_count]
-        extremes = np.array([1, cfg.steps // 2 - 1, cfg.steps // 2, cfg.steps - 1])
-        candidates = np.unique(np.concatenate([all_duties[order], extremes]))
-
-    for _ in range(4):
-        lo, hi = guess, guess
-        r_lo, _ = worst_steady_ripple(cfg, fm_at(lo), candidates)
-        tested = [lo]
-        while r_lo > ripple_target:
-            lo /= 2.0
-            tested.append(lo)
-            if lo < 1e-6:
-                raise ParameterError(
-                    f"cutoff search could not bracket the target; tested f_cT {tested}"
-                )
-            r_lo, _ = worst_steady_ripple(cfg, fm_at(lo), candidates)
-        r_hi, _ = worst_steady_ripple(cfg, fm_at(hi), candidates)
-        while r_hi <= ripple_target:
-            hi *= 2.0
-            tested.append(hi)
-            if hi > 16.0:
-                raise ParameterError(
-                    f"cutoff search could not bracket the target; tested f_cT {tested}"
-                )
-            r_hi, _ = worst_steady_ripple(cfg, fm_at(hi), candidates)
-        while hi / lo > 1.0 + rel_tol:
-            mid = np.sqrt(lo * hi)
-            r_mid, _ = worst_steady_ripple(cfg, fm_at(mid), candidates)
-            if r_mid > ripple_target:
-                hi = mid
-            else:
-                lo = mid
-        f_ct = lo
-        # confirm no pruned-away duty breaks the budget at the answer
-        worst_r, worst_duty = worst_steady_ripple(cfg, fm_at(f_ct))
-        if worst_r <= ripple_target * (1.0 + 1e-9) or worst_duty in candidates:
-            rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
-            return CutoffResult(
-                f_ct=float(f_ct),
-                f_c_hz=float(f_ct / period),
-                ripple_target_lsb=float(ripple_target),
-                worst_duty=worst_duty,
-                worst_ripple_lsb=worst_r,
-                rule_of_thumb_f_ct=rule,
-            )
-        candidates = np.unique(np.concatenate([candidates, [worst_duty]]))
-    raise ParameterError("cutoff search failed to converge on a stable worst duty")
+    guess = float(cutoff_rule_of_thumb(cfg.n, ripple_target)) * max(1, cfg.sn)
+    lo, hi = guess, guess
+    at_lo = worst_at(lo)
+    r_hi = at_lo[0]
+    tested = [lo]
+    while at_lo[0] > ripple_target and lo / 2.0 >= 1e-6:
+        lo /= 2.0
+        tested.append(lo)
+        at_lo = worst_at(lo)
+    while r_hi <= ripple_target and hi * 2.0 <= 16.0:
+        hi *= 2.0
+        tested.append(hi)
+        r_hi, _ = worst_at(hi)
+    if at_lo[0] > ripple_target or r_hi <= ripple_target:
+        raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
+    while hi / lo > 1.0 + _REL_TOL:
+        mid = np.sqrt(lo * hi)
+        at_mid = worst_at(mid)
+        if at_mid[0] > ripple_target:
+            hi = mid
+        else:
+            lo, at_lo = mid, at_mid
+    worst_r, worst_duty = at_lo
+    rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
+    return CutoffResult(
+        f_ct=float(lo),
+        f_c_hz=float(lo / period),
+        ripple_target_lsb=float(ripple_target),
+        worst_duty=worst_duty,
+        worst_ripple_lsb=worst_r,
+        rule_of_thumb_f_ct=rule,
+    )
 
 
 def conversion_rate(
@@ -303,34 +305,18 @@ class MetricsReport:
         return report
 
     def summary(self) -> dict:
-        """Scalar fields only, None entries dropped."""
+        """Scalar fields only, None entries dropped; an unbounded rate is None."""
         out = {
-            "kind": self.kind,
-            "n": self.n,
-            "sf": self.sf,
-            "f_clk": self.f_clk,
-            "u_lsb": self.u_lsb,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not isinstance(getattr(self, f.name), (list, type(None)))
         }
-        for key in (
-            "inl_lsb",
-            "inl_worst_duty",
-            "inl_formula_lsb",
-            "dnl_lsb",
-            "dnl_worst_duty",
-            "dnl_formula_lsb",
-            "ripple_worst_lsb",
-            "ripple_worst_duty",
-            "f_ct_required",
-            "settling_s",
-            "max_conversion_rate_hz",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        if self.max_conversion_rate_hz == math.inf:
+            out["max_conversion_rate_hz"] = None  # unbounded: settles at once
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2)
+        return json.dumps(self.summary(), sort_keys=True, indent=2, allow_nan=False)
 
     def write_curves_csv(self, fp: io.TextIOBase) -> None:
         """Write rows (duty, edge_count, static_error_lsb)."""

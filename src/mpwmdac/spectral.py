@@ -52,6 +52,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        if self.coeffs.size == 0:
+            raise ParameterError("a spectrum needs k_max >= 0")
 
     @property
     def k_max(self) -> int:
@@ -176,7 +178,7 @@ def superpose_coeffs(
         k_max = cfg.steps // 2
     slots = np.nonzero(wave.bits)[0]
     if slots.size == 0:
-        coeffs = np.zeros(k_max + 1, dtype=complex)
+        coeffs = np.zeros(max(k_max + 1, 0), dtype=complex)
     else:
         coeffs = _slot_coeffs(cfg.n, slots, k_max)
     return Spectrum(coeffs, cfg.f_clk / cfg.steps, cfg.steps)
@@ -210,7 +212,7 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
         )
     bins = np.fft.rfft(wave.bits.astype(float)) / size
     k = np.arange(k_max + 1)
-    return Spectrum(bins[: k_max + 1] * _hold_envelope(k, size), wave.f_clk / size, size)
+    return Spectrum(bins[k] * _hold_envelope(k, size), wave.f_clk / size, size)
 
 
 def dominant_harmonics(

@@ -137,7 +137,10 @@ def test_filter_preserves_period_mean():
     [lambda: EdgeModel(t_dr=float("nan")), lambda: EdgeModel(t_fall=float("inf")),
      lambda: EdgeModel(u_s=float("nan")), lambda: EdgeModel(supply_rel_err=float("-inf")),
      lambda: EdgeModel(supply_rel_err=-1.0), lambda: FilterModel(float("inf")),
-     lambda: settling_time(FilterModel(250.0), band_lsb=float("nan"))],
+     lambda: settling_time(FilterModel(250.0), band_lsb=float("nan")),
+     lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, -1),
+     lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, 1000),
+     lambda: settling_time(FilterModel(1e-320))],
 )
 def test_non_finite_or_degenerate_values_rejected(build):
     with pytest.raises(ParameterError):

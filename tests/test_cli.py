@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpwmdac.cli import main, parse_freq, parse_time
+from mpwmdac.cli import _json, main, parse_freq, parse_time
 
 
 def run_cli(capsys, *argv):
@@ -242,13 +242,42 @@ _WRONG_KIND = [
 ]
 
 
-@pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND, ids=" ".join)
+# out-of-range values that once died with a traceback or printed Infinity
+_OUT_OF_RANGE = [
+    ["settle", "--fc", "250", "--step", "full_scale", "--n=-1"],
+    ["settle", "--fc", "250", "--step", "full_scale", "--n", "1000"],
+    ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3", "--kmax=-5"],
+    ["settle", "--fc", "1e-320"],
+    ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1e-320"],
+]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND + _OUT_OF_RANGE, ids=" ".join)
 def test_rejected_input_is_strict_json_parameter_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert out == ""
     record = json.loads(err, parse_constant=_reject_constant)
     assert record["error"] == "parameter_error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["settle", "--fc", "1MHz", "--band", "2"],
+    ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1MHz", "--band", "2"],
+], ids=" ".join)
+def test_unbounded_rate_is_json_null(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    summary = json.loads(out, parse_constant=_reject_constant)
+    assert summary["settling_s"] == 0.0
+    assert summary["max_conversion_rate_hz"] is None
+
+
+def test_json_helper_refuses_non_finite_values():
+    assert _json({"b": 1, "a": [0.5]}) == '{"a": [0.5], "b": 1}'
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _json({"x": value})
 
 
 def test_gen_trace_export(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
+import inspect
 import io
 import json
 
@@ -23,8 +24,10 @@ from mpwmdac import (
     inl_closed_form,
     required_cutoff,
     static_error,
+    steady_ripple,
     worst_steady_ripple,
 )
+from mpwmdac.metrics import _ripple_margin, _summed_ripples
 
 EM_1NS = EdgeModel(t_dr=1e-9, t_df=0.0)
 
@@ -107,6 +110,59 @@ def test_transfer_curve_monotonic_when_dw_below_one_lsb():
             counts = edge_counts_sweep(cfg)
             averages = np.arange(cfg.steps) / cfg.steps + counts * em.dw * cfg.f_clk / cfg.steps
             assert np.all(np.diff(averages) > 0), (cfg, dw)
+
+
+def ripple_configs(n: int):
+    """The kinds whose duty codes are nested: every one but FONS."""
+    return [cfg for cfg in family_configs(n) if cfg.kind.value != "fons"]
+
+
+def _per_duty_worst(cfg, fm):
+    """Every duty's steady_ripple and their maximum, first code on a tie."""
+    ripples = np.array([steady_ripple(cfg, d, fm) for d in range(1, cfg.steps)])
+    return ripples, (float(ripples.max()), int(np.argmax(ripples)) + 1)
+
+
+def _check_worst_against_per_duty(cfg, f_ct):
+    fm = FilterModel(f_ct / cfg.period)
+    ripples, expected = _per_duty_worst(cfg, fm)
+    assert worst_steady_ripple(cfg, fm) == expected, (cfg, f_ct)
+    gap = np.max(np.abs(_summed_ripples(cfg, fm) - ripples))
+    assert gap <= _ripple_margin(cfg) / 10, (cfg, f_ct, gap)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_worst_steady_ripple_equals_per_duty_loop(n):
+    for cfg in ripple_configs(n):
+        for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
+            _check_worst_against_per_duty(cfg, f_ct)
+
+
+@pytest.mark.parametrize("cfg, f_ct", [
+    (ModulatorConfig.pwm(12), 0.0099),
+    (ModulatorConfig.mpwm(12, 3), 0.0774),
+], ids=["pwm", "mpwm_sf3"])
+def test_worst_steady_ripple_equals_per_duty_loop_n12(cfg, f_ct):
+    _check_worst_against_per_duty(cfg, f_ct)
+
+
+def test_worst_steady_ripple_rejects_fons():
+    with pytest.raises(ParameterError, match="pwm/pcm/mpwm"):
+        worst_steady_ripple(ModulatorConfig.fons(6), FilterModel(1e5))
+
+
+def test_worst_ripple_non_decreasing_in_cutoff():
+    # required_cutoff's bisection relies on this
+    for n in range(2, 9):
+        for cfg in ripple_configs(n):
+            grid = np.geomspace(1e-3, cfg.sn, 24)
+            worst = [worst_steady_ripple(cfg, FilterModel(f / cfg.period))[0] for f in grid]
+            assert np.all(np.diff(worst) >= 0), cfg
+
+
+def test_cutoff_search_takes_only_its_inputs():
+    assert list(inspect.signature(required_cutoff).parameters) == ["cfg", "ripple_target"]
+    assert list(inspect.signature(worst_steady_ripple).parameters) == ["cfg", "fm"]
 
 
 def test_required_cutoff_pwm_matches_rule_of_thumb():

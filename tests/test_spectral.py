@@ -174,3 +174,17 @@ def test_parameter_errors():
         dominant_harmonics(unit_signal_coeffs(5, 0, k_max=2))
     with pytest.raises(ParameterError, match="n <= 12"):
         superpose_coeffs(ModulatorConfig.mpwm(13, 2), 5)
+
+
+@pytest.mark.parametrize("k_max", [-1, -5])
+def test_negative_k_max_rejected_by_every_constructor(k_max):
+    cfg = ModulatorConfig.mpwm(4, 1)
+    builds = [
+        lambda: unit_signal_coeffs(4, 3, k_max=k_max),
+        lambda: superpose_coeffs(cfg, 3, k_max=k_max),
+        lambda: superpose_coeffs(cfg, 0, k_max=k_max),
+        lambda: dft_period(mpwm_wave(cfg, 3), k_max=k_max),
+    ]
+    for build in builds:
+        with pytest.raises(ParameterError, match="k_max >= 0"):
+            build()
