@@ -243,7 +243,6 @@ def dc_average(
     arg: AnalogTrace | ModulatorConfig,
     duty: int | DutyCode | None = None,
     em: EdgeModel = IDEAL_EDGES,
-    period_s: float | None = None,
 ) -> float:
     """Period average of the output voltage.
 
@@ -253,9 +252,8 @@ def dc_average(
     fraction * u_s + pulse_count * dw * f_clk * u_lsb.
     """
     if isinstance(arg, AnalogTrace):
-        period = period_s if period_s is not None else arg.period_s
-        if period is not None:
-            covered = len(arg) / arg.sample_rate / period
+        if arg.period_s is not None:
+            covered = len(arg) / arg.sample_rate / arg.period_s
             if abs(covered - round(covered)) > 1e-9 or round(covered) < 1:
                 raise ParameterError(
                     f"trace covers {covered:.6g} periods; an integer count is required"
@@ -271,18 +269,16 @@ def dc_average(
 
 
 def filter_response(
-    trace: AnalogTrace,
-    fm: FilterModel,
-    x0: np.ndarray | None = None,
-    steady_state: bool = False,
+    trace: AnalogTrace, fm: FilterModel, steady_state: bool = False
 ) -> AnalogTrace:
     """Filter a trace through the two-pole low-pass.
 
     The input is the piecewise-linear signal through the samples; state
-    propagation is closed-form per segment.  With steady_state=True the
-    trace is treated as one period of a periodic input and the returned
-    period is the exact periodic steady state (initial condition solved
-    from x* = Phi_T x* + forced response).
+    propagation is closed-form per segment, from the zero state unless
+    steady_state is set.  With steady_state=True the trace is treated as
+    one period of a periodic input and the returned period is the exact
+    periodic steady state (initial condition solved from
+    x* = Phi_T x* + forced response).
     """
     a, b, c = fm.state_space()
     u = trace.samples
@@ -298,9 +294,7 @@ def filter_response(
         y = yout[: u.size]
     else:
         t = np.arange(u.size) * dt
-        x_init = np.zeros(2) if x0 is None else np.asarray(x0, dtype=float)
-        _, yout, _ = signal.lsim((a, b, c, 0.0), u, t, X0=x_init, interp=True)
-        y = yout
+        _, y, _ = signal.lsim((a, b, c, 0.0), u, t, X0=np.zeros(2), interp=True)
     return AnalogTrace(y, trace.sample_rate, trace.t0, trace.period_s)
 
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Commands: gen, spectrum, metrics, cutoff, settle, repro, periph.  Outputs
-are deterministic: every data file starts with a `# config:` header carrying
-the full resolved parameters (no timestamps), so identical invocations
-produce byte-identical files.  Summaries print to stdout as JSON; errors
+are deterministic: every data file except the periph dumps starts with a
+`# config:` header carrying the full resolved parameters (no timestamps),
+so identical invocations produce byte-identical files.  The periph CSV
+starts with its `cycle,out` column line and the VCD with `$timescale`, so
+both load as plain CSV and VCD.  Summaries print to stdout as JSON; errors
 print a machine-readable record to stderr and exit nonzero (2 for parameter
 or usage problems, 1 for peripheral faults).
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -303,7 +306,8 @@ def _repro_settling(args) -> tuple[dict, list[str], list[list]]:
     rows = []
     for cfg, res in _repro_cutoffs(args):
         rate, settle = conversion_rate(cfg, FilterModel(res.f_c_hz), band_lsb=args.band)
-        rows.append([cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), _fmt(settle), _fmt(rate)])
+        rows.append([cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), _fmt(settle),
+                     "" if rate == math.inf else _fmt(rate)])  # "": unbounded
     config = {
         "n_list": args.n_list, "sf_list": args.sf_list,
         "ripple_target_lsb": args.ripple_target, "band_lsb": args.band,

@@ -112,6 +112,7 @@ def dnl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
 
 
 _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
+_F_CT_FLOOR = 1e-6  # the cutoff bracket tests no f_cT below this
 
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
@@ -192,11 +193,13 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         return worst_steady_ripple(cfg, FilterModel(f_ct / period))
 
     guess = float(cutoff_rule_of_thumb(cfg.n, ripple_target)) * max(1, cfg.sn)
+    if guess < _F_CT_FLOOR:  # checked first: every code would be re-evaluated there
+        raise ParameterError(f"f_cT guess {guess} lies below the search floor {_F_CT_FLOOR}")
     lo, hi = guess, guess
     at_lo = worst_at(lo)
     r_hi = at_lo[0]
     tested = [lo]
-    while at_lo[0] > ripple_target and lo / 2.0 >= 1e-6:
+    while at_lo[0] > ripple_target and lo / 2.0 >= _F_CT_FLOOR:
         lo /= 2.0
         tested.append(lo)
         at_lo = worst_at(lo)

@@ -286,8 +286,8 @@ class DecoderState:
     wav: np.ndarray
 
 
-def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the low `bits` bits of `value` (0 bits -> 0)."""
+def bit_reverse(value: int | np.ndarray, bits: int) -> int | np.ndarray:
+    """Reverse the low `bits` bits of an int or int array (0 bits -> 0)."""
     out = 0
     for i in range(bits):
         out |= ((value >> i) & 1) << (bits - 1 - i)
@@ -304,9 +304,8 @@ def rearranged_counter(n: int, sf: int) -> np.ndarray:
     """
     size = 1 << n
     sub = size >> sf
-    c = np.arange(size)
-    rev = np.array([bit_reverse(s, sf) for s in range(1 << sf)], dtype=np.int64)
-    return (c % sub) * (1 << sf) + rev[c // sub]
+    c = np.arange(size, dtype=np.int64)
+    return (c % sub) * (1 << sf) + bit_reverse(c // sub, sf)
 
 
 def _require_mpwm_family(cfg: ModulatorConfig) -> None:

@@ -1,4 +1,4 @@
-"""Cycle-stepped register-map emulation of the modulator as an SoC peripheral.
+"""Period-at-a-time register-map emulation of the modulator as an SoC peripheral.
 
 The register layout, double-buffering rules, fault codes and the 1024-cycle
 delay-line lock latency are emulation-local conventions for driver
@@ -189,22 +189,24 @@ class MpwmPeripheral:
     def step(self, cycles: int) -> np.ndarray:
         """Advance the emulation and return one output bit per cycle.
 
-        Output is forced low until the delay-line lock latency has elapsed;
-        duty writes take effect at the next period boundary.
+        The rest of the current period comes first, then the period latched
+        at the boundary, repeated.  Output is forced low until the lock
+        latency has elapsed; duty writes take effect at the next boundary.
         """
         if cycles < 1:
             raise ParameterError(f"cycles must be >= 1, got {cycles}")
-        out = np.zeros(cycles, dtype=np.uint8)
         if not self._en:
-            return out
-        for i in range(cycles):
-            if self.locked:
-                out[i] = 1 if self._cr[self._counter] < self._duty_active else 0
-            self._counter += 1
-            self._cycles_since_en += 1
-            if self._counter == self._size:
-                self._counter = 0
-                self._duty_active = self._duty_shadow & (self._size - 1)
+            return np.zeros(cycles, dtype=np.uint8)
+        size, pos = self._size, self._counter
+        out = self._cr[pos:pos + min(cycles, size - pos)] < self._duty_active
+        if pos + cycles >= size:  # crosses or ends on a period boundary
+            self._duty_active = self._duty_shadow & (size - 1)
+            period = self._cr < self._duty_active
+            out = np.concatenate([out, np.resize(period, cycles - out.size)])
+        out = out.astype(np.uint8)
+        out[: max(0, LOCK_LATENCY_CYCLES - self._cycles_since_en)] = 0
+        self._counter = (pos + cycles) % size
+        self._cycles_since_en += cycles
         return out
 
 
@@ -258,6 +260,7 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
 
 def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
     """Change-dump of the output bit, one clock cycle per `clock_ns`."""
+    bits = np.asarray(bits, dtype=np.uint8)
     lines = [
         "$timescale 1ns $end",
         "$scope module mpwm_dac $end",
@@ -267,12 +270,9 @@ def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
         "#0",
         "0!" if (bits.size == 0 or bits[0] == 0) else "1!",
     ]
-    prev = bits[0] if bits.size else 0
-    for i in range(1, bits.size):
-        if bits[i] != prev:
-            lines.append(f"#{int(round(i * clock_ns))}")
-            lines.append(f"{int(bits[i])}!")
-            prev = bits[i]
+    edges = np.flatnonzero(np.diff(bits)) + 1
+    for i, b in zip(edges.tolist(), bits[edges].tolist()):
+        lines += (f"#{int(round(i * clock_ns))}", f"{b}!")
     if bits.size:
         lines.append(f"#{int(round(bits.size * clock_ns))}")
     return "\n".join(lines) + "\n"
@@ -280,6 +280,5 @@ def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
 
 def trace_to_csv(bits: np.ndarray) -> str:
     """Per-cycle dump with header `cycle,out`."""
-    lines = ["cycle,out"]
-    lines.extend(f"{i},{int(b)}" for i, b in enumerate(bits))
-    return "\n".join(lines) + "\n"
+    bits = np.asarray(bits, dtype=np.uint8)
+    return "".join(["cycle,out\n", *(f"{i},{b}\n" for i, b in enumerate(bits.tolist()))])

@@ -130,6 +130,7 @@ class HarmonicSummary:
 
 # Sentinel returned when a spectrum has no AC content at all.
 NO_HARMONIC = None
+_AC_FLOOR = 1e-12  # AC magnitudes at or below this share of max(DC, 1) count as none
 
 
 def _slot_coeffs(n: int, slots: np.ndarray, k_max: int) -> np.ndarray:
@@ -215,20 +216,18 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
     return Spectrum(bins[k] * _hold_envelope(k, size), wave.f_clk / size, size)
 
 
-def dominant_harmonics(
-    spec: Spectrum, ac_floor: float = 1e-12
-) -> HarmonicSummary | None:
+def dominant_harmonics(spec: Spectrum) -> HarmonicSummary | None:
     """Locate the two largest-amplitude AC harmonics.
 
     Returns NO_HARMONIC (None) when every AC coefficient is below
-    `ac_floor` relative to max(DC, 1); ties resolve to the lower frequency.
+    `_AC_FLOOR` relative to max(DC, 1); ties resolve to the lower frequency.
     """
     if spec.k_max < 3:
         raise ParameterError(f"need at least 3 harmonics, got k_max={spec.k_max}")
     mags = spec.magnitudes()
     dc = mags[0]
     ac = mags[1:]
-    if ac.max() <= ac_floor * max(dc, 1.0):
+    if ac.max() <= _AC_FLOOR * max(dc, 1.0):
         return NO_HARMONIC
     k1 = int(np.argmax(ac)) + 1
     rest = ac.copy()

@@ -249,6 +249,8 @@ _OUT_OF_RANGE = [
     ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3", "--kmax=-5"],
     ["settle", "--fc", "1e-320"],
     ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1e-320"],
+    ["cutoff", "--kind", "mpwm", "--n", "6", "--sf", "3", "--ripple-target=1e-30"],
+    ["cutoff", "--kind", "pcm", "--n", "12", "--ripple-target=1e-30"],
 ]
 
 
@@ -271,6 +273,23 @@ def test_unbounded_rate_is_json_null(tmp_path, capsys, argv):
     summary = json.loads(out, parse_constant=_reject_constant)
     assert summary["settling_s"] == 0.0
     assert summary["max_conversion_rate_hz"] is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repro_unbounded_rate_is_the_missing_value(tmp_path, capsys, fmt):
+    code, _, err = run_cli(
+        capsys, "repro", "--figure", "settling", "--n-list", "6", "--sf-list", "0",
+        "--band", "2", "--format", fmt, "--out", str(tmp_path),
+    )
+    assert code == 0 and err == ""
+    path = tmp_path / f"repro_settling.{fmt}"
+    if fmt == "csv":
+        _, header, rows = read_table(path)
+        row = dict(zip(header, rows[0]))
+    else:
+        row = json.loads(path.read_text(), parse_constant=_reject_constant)["rows"][0]
+    assert float(row["settling_s"]) == 0.0
+    assert row["max_conversion_rate_hz"] == ""
 
 
 def test_json_helper_refuses_non_finite_values():

@@ -246,6 +246,13 @@ def test_bit_reverse_involution_and_counter_bijection(n, data):
     assert bit_reverse(bit_reverse(value, sf), sf) == value
     cr = rearranged_counter(n, sf)
     assert np.array_equal(np.sort(cr), np.arange(1 << n))
+    # element-wise: low n-sf counter bits on top, top sf bits reversed below
+    low = n - sf
+    expected = [
+        ((c & ((1 << low) - 1)) << sf) | (int(f"{c >> low:0{sf}b}"[::-1], 2) if sf else 0)
+        for c in range(1 << n)
+    ]
+    assert cr.tolist() == expected
 
 
 # -- parameter validation -----------------------------------------------------------

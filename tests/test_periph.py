@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpwmdac import ModulatorConfig, ParameterError, mpwm_wave
 from mpwmdac.periph import (
@@ -185,6 +186,51 @@ def test_run_script_fault_names_line():
     with pytest.raises(PeripheralFault, match="line 2") as err:
         run_script("write 0x04 8\nwrite 0x10 1\n")
     assert err.value.code == FaultCode.READ_ONLY
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12), st.data())
+def test_script_matches_period_at_a_time_model(n, data):
+    # n <= 10 puts the lock instant on a period boundary, n >= 11 inside one
+    size = 1 << n
+    sf = data.draw(st.integers(0, n - 1))
+    duty = data.draw(st.integers(0, 0xFFFF))
+    # the second step straddles the lock instant
+    first = data.draw(st.integers(1, LOCK_LATENCY_CYCLES - 1))
+    rest = LOCK_LATENCY_CYCLES - first
+    steps = [first, data.draw(st.integers(rest + 1, rest + 2 * size))]
+    steps += data.draw(st.lists(st.integers(1, 3 * size), max_size=8))
+    writes = [data.draw(st.none() | st.integers(0, 0xFFFF)) for _ in steps]
+    # one step ends exactly on a period boundary and is followed by a write
+    j = data.draw(st.integers(2, len(steps)))
+    steps.insert(j, size - sum(steps[:j]) % size)
+    writes.insert(j, data.draw(st.integers(0, 0xFFFF)))
+
+    lines = [f"write 0x04 {n}", f"write 0x08 {duty}", f"write 0x00 0x{(sf << 4) | 1:02X}"]
+    for cycles, value in zip(steps, writes):
+        lines.append(f"step {cycles}")
+        if value is not None:
+            lines.append(f"write 0x08 {value}")
+    periph = MpwmPeripheral()
+    result = run_script("\n".join(lines), periph)
+
+    # Period k plays the last DUTY written strictly before its first cycle:
+    # a write right after a step that ends on a boundary waits one period.
+    total = sum(steps)
+    ends = np.cumsum(steps)
+    latched = []
+    for k in range(-(-total // size)):
+        shadow = duty
+        for end, value in zip(ends, writes):
+            if value is not None and end < k * size:
+                shadow = value
+        latched.append(shadow & (size - 1))
+    cfg = ModulatorConfig.mpwm(n, sf)
+    expected = np.concatenate([mpwm_wave(cfg, d).bits for d in latched])[:total]
+    expected[:LOCK_LATENCY_CYCLES] = 0
+    assert np.array_equal(result.bits, expected)
+    assert periph.snapshot()["counter"] == total % size
+    assert result.final_registers["STATUS"] == 1
 
 
 def test_vcd_and_csv_dumps():
