@@ -370,6 +370,8 @@ def settling_time(
         raise ParameterError(f"step must be 'one_lsb' or 'full_scale', got {step!r}")
     if b >= 1.0:
         return 0.0
+    if b == 0.0:
+        raise ParameterError(f"band {band_lsb} LSB of a {n_bits}-bit step underflows to 0")
 
     # normalized deviation y(t)-1 = -exp(-th)(cos th + sin th), th = wc t / sqrt(2);
     # extrema sit at th = m*pi with |dev| = exp(-m*pi), so the last band crossing
@@ -377,7 +379,7 @@ def settling_time(
     def dev(theta: float) -> float:
         return np.exp(-theta) * (np.cos(theta) + np.sin(theta))
 
-    m = int(np.floor(np.log(1.0 / b) / np.pi))
+    m = int(np.floor(-np.log(b) / np.pi))  # -log(b), not log(1/b): 1/b overflows
     while np.exp(-m * np.pi) <= b:  # guard against floor landing one high
         m -= 1
     sign = 1.0 if m % 2 == 0 else -1.0

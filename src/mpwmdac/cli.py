@@ -73,8 +73,11 @@ def parse_freq(text: str) -> float:
 
 
 def _json(obj, **kwargs) -> str:
-    """Strict RFC 8259 JSON with sorted keys; a NaN or infinity raises."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    """Strict RFC 8259 JSON with sorted keys; a NaN or infinity is a ParameterError."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise ParameterError(f"a value does not fit strict JSON ({exc})") from None
 
 
 def _write_csv(path: Path, config: dict, write_body) -> None:
@@ -359,8 +362,15 @@ def cmd_periph(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParameterError, so they print the same JSON record."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpwmdac",
         description="Pulse-modulation DAC simulator and measurement toolkit",
     )
@@ -445,10 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # an overflow from finite inputs is a bad parameter, never an inf result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        record, code = {"error": "parameter_error", "detail": f"input out of range: {exc}"}, 2
     except PeripheralFault as fault:
         record, code = {"error": fault.code.value, "detail": str(fault)}, 1
     except ParameterError as exc:

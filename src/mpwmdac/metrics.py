@@ -24,10 +24,10 @@ from .modwave import (
     Kind,
     ModulatorConfig,
     _coerce_duty,
+    _fill_order,
     _require_mpwm_family,
     count_pulses,
     generate,
-    rearranged_counter,
 )
 
 __all__ = [
@@ -67,8 +67,20 @@ def static_error(
 
 
 def edge_counts_sweep(cfg: ModulatorConfig) -> np.ndarray:
-    """Pulse count of the generated waveform for every duty code."""
-    return np.array([_pulses(cfg, d) for d in range(cfg.steps)], dtype=np.int64)
+    """Pulse count of the generated waveform for every duty code.
+
+    For PWM, MPWM and PCM, code D+1 is code D plus slot s = order[D], which
+    opens, extends or merges pulses as none, one or both of its cyclic
+    neighbours are already high (C_R[s -/+ 1] < D), so the count changes by
+    1 - [C_R[s-1] < D] - [C_R[s+1] < D].  FONS codes are not nested: each
+    code is generated and counted (and HRMPWM is refused there).
+    """
+    if cfg.kind in (Kind.FONS, Kind.HRMPWM):
+        return np.array([_pulses(cfg, d) for d in range(cfg.steps)], dtype=np.int64)
+    order = _fill_order(cfg)
+    cr = np.argsort(order)  # the inverse permutation: C_R[s] = D where order[D] = s
+    high_neighbours = (np.roll(cr, 1) < cr).astype(np.int64) + (np.roll(cr, -1) < cr)
+    return np.concatenate(([0], np.cumsum(1 - high_neighbours[order[:-1]])))
 
 
 def inl(cfg: ModulatorConfig, em: EdgeModel) -> tuple[float, int]:
@@ -133,13 +145,13 @@ def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
     so its filtered period is the previous one plus the unit-slot response
     rolled by 16 grid samples per slot.
     """
-    _require_mpwm_family(cfg)
+    order = _fill_order(cfg)
     unit = _harmonic_period(np.eye(1, cfg.steps, dtype=np.uint8)[0], cfg, fm)
     grid = unit.size
     tiled = np.tile(unit, 2)  # tiled[grid - s : 2 * grid - s] is unit rolled by s
     y = np.zeros(grid)
     ripples = np.empty(cfg.steps - 1)
-    for d, slot in enumerate(np.argsort(rearranged_counter(cfg.n, cfg.sf))[:-1]):
+    for d, slot in enumerate(order[:-1]):
         y += tiled[grid - 16 * slot : 2 * grid - 16 * slot]
         ripples[d] = y.max() - y.min()
     return ripples * cfg.steps

@@ -313,6 +313,16 @@ def _require_mpwm_family(cfg: ModulatorConfig) -> None:
         raise ParameterError(f"kind must be one of pwm/pcm/mpwm, got {cfg.kind.value}")
 
 
+def _fill_order(cfg: ModulatorConfig) -> np.ndarray:
+    """Slot that code D+1 adds to code D, for D = 0..2**n-1 (PWM/MPWM/PCM).
+
+    Slot s is high for every code above C_R[s], so the codes are nested and
+    the order is argsort(C_R), the inverse permutation of C_R.
+    """
+    _require_mpwm_family(cfg)
+    return np.argsort(rearranged_counter(cfg.n, cfg.sf))
+
+
 def mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
     """Generate one period through the comparator construction.
 

@@ -1,17 +1,17 @@
 """Exact spectra of unfiltered modulator periods.
 
-A period of 2**n clock cycles is a zero-order-hold signal built from unit
-slots: slot m is high on [m*T/2**n, (m+1)*T/2**n).  Its exponential Fourier
-series x(t) = sum_k a_k exp(+j k 2 pi t / T) has the closed-form slot
-coefficients
+A period of N = 2**n clock cycles is a zero-order-hold signal built from
+runs: a run of w slots starting at slot s is high on [s*T/N, (s+w)*T/N).
+Its exponential Fourier series x(t) = sum_k a_k exp(+j k 2 pi t / T) has the
+closed-form rectangle coefficients
 
-    a_0 = 1 / 2**n
-    a_k = exp(-j k (2 m + 1) pi / 2**n) * sin(k pi / 2**n) / (k pi)
+    a_k = (w/N) * sinc(k w/N) * exp(-j pi k (2 s + w) / N),   a_0 = w/N
 
-and the spectrum of any 0/1 waveform is the sum of its occupied slots'
-coefficients (linearity).  `superpose_coeffs` evaluates that sum directly;
-`dft_period` reaches the same numbers through an FFT plus the zero-order-hold
-bin correction, giving an independent numeric cross-check.
+and the spectrum of any 0/1 waveform is the sum over its runs (linearity).
+A unit slot is the run of width 1.  `superpose_coeffs` evaluates that sum
+directly for every kind and every n <= 16, in chunks of bounded size;
+`dft_period` reaches the same numbers through an FFT plus the
+zero-order-hold bin correction, giving an independent numeric cross-check.
 """
 
 from __future__ import annotations
@@ -99,17 +99,9 @@ class Spectrum:
         dc = abs(self.coeffs[0])
         for k, a in enumerate(self.coeffs):
             mag = abs(a)
-            over_dc = mag / dc if dc > 0 else float("nan")
-            writer.writerow(
-                [
-                    k,
-                    f"{k * self.fundamental_hz:.12g}",
-                    f"{a.real:.12g}",
-                    f"{a.imag:.12g}",
-                    f"{mag:.12g}",
-                    f"{over_dc:.12g}",
-                ]
-            )
+            over_dc = f"{mag / dc:.12g}" if dc > 0 else ""  # "": no DC to scale by
+            writer.writerow([k, f"{k * self.fundamental_hz:.12g}", f"{a.real:.12g}",
+                             f"{a.imag:.12g}", f"{mag:.12g}", over_dc])
 
 
 @dataclass(frozen=True)
@@ -131,25 +123,33 @@ class HarmonicSummary:
 # Sentinel returned when a spectrum has no AC content at all.
 NO_HARMONIC = None
 _AC_FLOOR = 1e-12  # AC magnitudes at or below this share of max(DC, 1) count as none
+_CHUNK_TERMS = 1 << 20  # k x run terms summed at once; bounds the working memory
 
 
-def _slot_coeffs(n: int, slots: np.ndarray, k_max: int) -> np.ndarray:
-    """Sum of unit-slot coefficients over `slots` for k = 0..k_max."""
+def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int) -> np.ndarray:
+    """Sum of rectangle coefficients over runs (starts, widths) for k = 0..k_max.
+
+    The phase index k (2 s + w) is reduced mod 2N in integers before it picks
+    its root of unity, so the phase is exact at every k and a_0 sums w/N exactly.
+    """
     size = 1 << n
     k = np.arange(k_max + 1)
-    # a_k = (1/N) * sinc(k/N) * sum_m exp(-j pi k (2m+1) / N), valid for k = 0 too
-    phase = np.exp(-1j * np.pi * np.outer(k, 2 * slots + 1) / size)
-    return np.sinc(k / size) / size * phase.sum(axis=1)
+    roots = np.exp(-1j * np.pi / size * np.arange(2 * size))
+    coeffs = np.zeros(k.size, dtype=complex)
+    step = max(1, _CHUNK_TERMS // max(k.size, 1))
+    for i in range(0, starts.size, step):
+        s, w = starts[i : i + step], widths[i : i + step]
+        terms = np.sinc(np.outer(k, w) / size) * roots[np.outer(k, 2 * s + w) % (2 * size)]
+        coeffs += terms @ (w / size)
+    return coeffs
 
 
 def unit_signal_coeffs(
     n: int, m: int, k_max: int | None = None, f_clk: float | None = None
 ) -> Spectrum:
-    """Spectrum of the single-slot unit signal at slot m of 2**n.
+    """Spectrum of the unit signal at slot m of 2**n: the run of width 1.
 
-    a_0 = 1/2**n and a_k = exp(-j k (pi/2**n + 2 m pi/2**n)) *
-    sin(k pi/2**n) / (k pi) for k >= 1.  With f_clk omitted the period is
-    normalized to 1 s.
+    With f_clk omitted the period is normalized to 1 s.
     """
     if not 2 <= n <= 16:
         raise ParameterError(f"n must be in [2, 16], got {n}")
@@ -159,29 +159,24 @@ def unit_signal_coeffs(
     if k_max is None:
         k_max = size // 2
     fundamental = (f_clk / size) if f_clk else 1.0
-    coeffs = _slot_coeffs(n, np.array([m]), k_max)
+    coeffs = _run_coeffs(n, np.array([m]), np.array([1]), k_max)
     return Spectrum(coeffs, fundamental, size)
 
 
-def superpose_coeffs(
-    cfg: ModulatorConfig, duty, k_max: int | None = None
-) -> Spectrum:
-    """Analytic spectrum of the generated waveform by slot superposition.
+def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Spectrum:
+    """Analytic spectrum of the generated waveform by run superposition.
 
-    Sums the closed-form unit-slot coefficients over the occupied slots of
-    mpwm_wave(cfg, duty); independent of (and checked against) `dft_period`.
+    Sums the closed-form rectangle coefficients over the runs of high slots
+    of mpwm_wave(cfg, duty); a pulse that wraps the period is two runs.
+    Independent of (and checked against) `dft_period`.
     """
-    if cfg.n > 12:
-        raise ParameterError(f"superpose_coeffs supports n <= 12, got n={cfg.n}")
     duty = _coerce_duty(cfg, duty)
     wave = mpwm_wave(cfg, duty)
     if k_max is None:
         k_max = cfg.steps // 2
-    slots = np.nonzero(wave.bits)[0]
-    if slots.size == 0:
-        coeffs = np.zeros(max(k_max + 1, 0), dtype=complex)
-    else:
-        coeffs = _slot_coeffs(cfg.n, slots, k_max)
+    edges = np.diff(wave.bits.astype(np.int8), prepend=0, append=0)
+    starts = np.nonzero(edges == 1)[0]
+    coeffs = _run_coeffs(cfg.n, starts, np.nonzero(edges == -1)[0] - starts, k_max)
     return Spectrum(coeffs, cfg.f_clk / cfg.steps, cfg.steps)
 
 

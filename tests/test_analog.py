@@ -140,6 +140,7 @@ def test_filter_preserves_period_mean():
      lambda: settling_time(FilterModel(250.0), band_lsb=float("nan")),
      lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, -1),
      lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, 1000),
+     lambda: settling_time(FilterModel(250.0), "full_scale", 5e-324, 6),
      lambda: settling_time(FilterModel(1e-320))],
 )
 def test_non_finite_or_degenerate_values_rejected(build):
@@ -208,6 +209,15 @@ def test_settling_scales_inversely_with_cutoff():
 def test_settling_infinite_band_is_zero():
     assert settling_time(FilterModel(250.0), band_lsb=1e9) == 0.0
     assert settling_time(FilterModel(250.0), band_lsb=1.0) == 0.0
+
+
+def test_settling_subnormal_band_is_finite():
+    # 1/b overflows for a subnormal band; -log(b) keeps the bracket [m pi, (m+1) pi]
+    fm = FilterModel(1e6)
+    t = settling_time(fm, band_lsb=5e-324)
+    theta = t * fm.omega_c / np.sqrt(2.0)
+    assert 236 * np.pi <= theta <= 237 * np.pi
+    assert t > settling_time(fm, band_lsb=1e-300)
 
 
 def test_settling_full_scale_slower_than_one_lsb():

@@ -1,11 +1,18 @@
 """CLI tests: command outputs, schemas, reproducibility, error records."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mpwmdac import ParameterError
 from mpwmdac.cli import _json, main, parse_freq, parse_time
 
 
@@ -251,16 +258,35 @@ _OUT_OF_RANGE = [
     ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1e-320"],
     ["cutoff", "--kind", "mpwm", "--n", "6", "--sf", "3", "--ripple-target=1e-30"],
     ["cutoff", "--kind", "pcm", "--n", "12", "--ripple-target=1e-30"],
+    # an overflow or a non-finite result from finite inputs
+    ["cutoff", "--kind", "pcm", "--n", "4", "--fclk=1e308"],
+    ["metrics", "--kind", "pcm", "--n", "4", "--fclk=0.5", "--supply-err=1e308"],
+    ["repro", "--figure", "inl_dnl", "--n", "4", "--tdr=1e308", "--fclk=100GHz"],
+    ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "3"],
+    ["repro", "--figure", "settling", "--n-list", "5", "--sf-list", "5", "--ripple-target=inf"],
+    ["settle", "--fc", "1MHz", "--band=5e-324", "--step=full_scale", "--n", "6"],
 ]
 
 
-@pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND + _OUT_OF_RANGE, ids=" ".join)
+# usage errors, once plain-text argparse messages
+_USAGE = [["bogus"], ["settle"], ["gen", "--kind", "mpwm", "--n=x", "--duty", "3"],
+          ["repro", "--figure", "inl_dnl", "--n=nan"]]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND + _OUT_OF_RANGE + _USAGE,
+                         ids=" ".join)
 def test_rejected_input_is_strict_json_parameter_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2
     assert out == ""
     record = json.loads(err, parse_constant=_reject_constant)
     assert record["error"] == "parameter_error"
+
+
+def test_settle_subnormal_band_is_finite(capsys):
+    code, out, err = run_cli(capsys, "settle", "--fc", "1MHz", "--band=5e-324")
+    assert code == 0 and err == ""
+    assert math.isfinite(json.loads(out, parse_constant=_reject_constant)["settling_s"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,8 +321,82 @@ def test_repro_unbounded_rate_is_the_missing_value(tmp_path, capsys, fmt):
 def test_json_helper_refuses_non_finite_values():
     assert _json({"b": 1, "a": [0.5]}) == '{"a": [0.5], "b": 1}'
     for value in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             _json({"x": value})
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+_EXTREMES = ["0", "-0", "-0.0", "1e308", "-1e308", "1e400", "5e-324", "2.5e-310", "nan", "inf",
+             "-inf", "0.5", "3", "250"]
+_PLAIN = st.one_of(st.sampled_from(_EXTREMES), st.floats().map(repr))
+
+
+def _with_units(*units):
+    return st.one_of(_PLAIN, st.tuples(_PLAIN, st.sampled_from(units)).map("".join))
+
+
+_FREQ = _with_units("Hz", "kHz", "MHz", "GHz")
+_TIME = _with_units("s", "ms", "us", "ns", "ps")
+
+
+def _int(low, high):
+    return st.one_of(st.integers(low, high).map(str), st.sampled_from(["nan", "1e3", "", "x"]))
+
+
+_SMALL_N = _int(2, 6)
+_FLOAT_OPTS = {"--fclk": _FREQ, "--fc": _FREQ, "--tdr": _TIME, "--tdf": _TIME,
+               "--trise": _TIME, "--tfall": _TIME, "--us": _PLAIN, "--supply-err": _PLAIN,
+               "--ripple-target": _PLAIN, "--band": _PLAIN}
+_COMMANDS = {  # every option drawn for each command; n stays <= 6
+    "gen": ["--fclk"], "spectrum": ["--fclk"], "cutoff": ["--fclk", "--ripple-target"],
+    "metrics": ["--fclk", "--tdr", "--tdf", "--trise", "--tfall", "--us", "--supply-err",
+                "--fc", "--ripple-target", "--band"],
+    "settle": ["--band"],
+    "repro": ["--fclk", "--tdr", "--tdf", "--ripple-target", "--band"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    if command in ("gen", "spectrum", "cutoff", "metrics"):
+        kinds = ["pwm", "mpwm", "pcm", "fons", "hrmpwm"]
+        argv += [f"--kind={draw(st.sampled_from(kinds))}", f"--n={draw(_SMALL_N)}",
+                 f"--sf={draw(_int(0, 5))}"]
+    if command in ("gen", "spectrum"):
+        argv.append(f"--duty={draw(_int(-1, 64))}")
+    if command == "spectrum":
+        argv.append(f"--kmax={draw(_int(-1, 40))}")
+    if command == "settle":
+        argv += [f"--fc={draw(_FREQ)}", f"--n={draw(_int(0, 17))}",
+                 f"--step={draw(st.sampled_from(['one_lsb', 'full_scale']))}"]
+    if command == "repro":
+        figures = ["cutoff_vs_resolution", "inl_dnl", "settling"]
+        argv += [f"--figure={draw(st.sampled_from(figures))}", f"--n={draw(_SMALL_N)}",
+                 "--n-list", draw(_SMALL_N), "--sf-list", draw(_int(0, 5))]
+    for opt in draw(st.lists(st.sampled_from(_COMMANDS[command]), unique=True)):
+        argv.append(f"{opt}={draw(_FLOAT_OPTS[opt])}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a numeric warning escapes main and fails
+        code = main([*argv, "--out", tmp])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+        assert "error" in json.loads(err, parse_constant=_reject_constant)
 
 
 def test_gen_trace_export(tmp_path, capsys):

@@ -15,11 +15,13 @@ from mpwmdac import (
     ModulatorConfig,
     ParameterError,
     conversion_rate,
+    count_pulses,
     cutoff_rule_of_thumb,
     dc_average,
     dnl,
     dnl_closed_form,
     edge_counts_sweep,
+    generate,
     inl,
     inl_closed_form,
     required_cutoff,
@@ -101,6 +103,18 @@ def test_dnl_invariant_across_families():
     values = [dnl(cfg, EM_1NS)[0] for cfg in family_configs(10)]
     assert all(v == values[0] for v in values)
     assert values[0] == dnl_closed_form(ModulatorConfig.pwm(10), EM_1NS) == 0.1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_edge_counts_sweep_equals_per_code_count(n):
+    """The rank-order running count against counting every generated code."""
+    configs = [ModulatorConfig.mpwm(n, sf) for sf in range(n)]
+    configs += [ModulatorConfig.pwm(n), ModulatorConfig.pcm(n), ModulatorConfig.fons(n)]
+    for cfg in configs:
+        per_code = [count_pulses(generate(cfg, d)) for d in range(cfg.steps)]
+        assert edge_counts_sweep(cfg).tolist() == per_code, cfg
+    with pytest.raises(ParameterError):
+        edge_counts_sweep(ModulatorConfig.hr_mpwm(n, n - 1))
 
 
 def test_transfer_curve_monotonic_when_dw_below_one_lsb():

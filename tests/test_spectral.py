@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,8 +173,31 @@ def test_parameter_errors():
         dft_period(BitWaveform(np.zeros(32, dtype=np.uint8), 1e6), k_max=17)
     with pytest.raises(ParameterError, match="at least 3"):
         dominant_harmonics(unit_signal_coeffs(5, 0, k_max=2))
-    with pytest.raises(ParameterError, match="n <= 12"):
-        superpose_coeffs(ModulatorConfig.mpwm(13, 2), 5)
+
+
+@pytest.mark.parametrize("cfg, duty", [
+    (ModulatorConfig.mpwm(16, 3), 30001),  # 8 runs
+    (ModulatorConfig.pcm(13), 4095),  # 4095 runs of one slot
+], ids=["mpwm_n16", "pcm_n13"])
+def test_superpose_beyond_n12_matches_dft_in_bounded_memory(cfg, duty):
+    tracemalloc.start()
+    try:
+        analytic = superpose_coeffs(cfg, duty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    numeric = dft_period(mpwm_wave(cfg, duty))
+    assert np.max(np.abs(analytic.coeffs - numeric.coeffs)) <= 1e-12
+    assert analytic.dc == duty / cfg.steps
+    assert peak < 100e6
+
+
+def test_spectrum_csv_without_dc_leaves_ratio_empty():
+    buf = io.StringIO()
+    superpose_coeffs(ModulatorConfig.mpwm(4, 1), 0).write_csv(buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(row[4] == "0" and row[5] == "" for row in rows)
 
 
 @pytest.mark.parametrize("k_max", [-1, -5])
