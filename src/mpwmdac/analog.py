@@ -4,7 +4,8 @@ Digital periods become piecewise-linear voltage traces under a trapezoid
 edge model, then pass through a second-order Butterworth low-pass filter.
 Filtering uses closed-form state propagation over the piecewise-linear
 input (no fixed-step integration error), which keeps the DC-preservation
-and ripple invariants testable at machine precision.
+and ripple invariants testable at machine precision.  The module needs
+numpy and `scipy.linalg.expm` only.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import ParameterError
 from .modwave import (
@@ -268,6 +267,37 @@ def dc_average(
     return _ideal_fraction(cfg, duty) * em.u_s + pulses * em.dw * cfg.f_clk * u_lsb
 
 
+def _foh_states(a: np.ndarray, b: np.ndarray, dt: float, u: np.ndarray, x0) -> np.ndarray:
+    """States at the samples of the piecewise-linear input u, from x0 at sample 0.
+
+    This is the first-order-hold recurrence of `scipy.signal.lsim(...,
+    interp=True)` with the same arithmetic, so the states match it bit for
+    bit: e = expm(M.T) of the block matrix [[A dt, B dt, 0], [0, 0, 1],
+    [0, 0, 0]], then x[i+1] = (x[i] @ Ad + u[i] Bd0) + u[i+1] Bd1 with Ad,
+    Bd1 and Bd0 read from e as lsim reads them.  `x @ ad` stays a numpy
+    matmul on lsim's strided view: its rounding is the BLAS kernel's, which
+    a scalar loop would not reproduce.
+    """
+    n = a.shape[0]
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = a * dt
+    m[:n, n : n + 1] = b * dt
+    m[n, n + 1] = 1.0
+    e = expm(m.T)
+    ad = e[:n, :n]
+    bd1 = e[n + 1, :n]
+    bd0 = e[n, :n] - bd1
+    x = np.array(x0, dtype=float)
+    states = [x]
+    # a one-term matmul u[i] @ Bd is the plain product, so q and r are exact
+    for q, r in zip(u[:-1, None] * bd0, u[1:, None] * bd1):
+        x = x @ ad
+        x += q
+        x += r
+        states.append(x)
+    return np.array(states)
+
+
 def filter_response(
     trace: AnalogTrace, fm: FilterModel, steady_state: bool = False
 ) -> AnalogTrace:
@@ -278,24 +308,23 @@ def filter_response(
     steady_state is set.  With steady_state=True the trace is treated as
     one period of a periodic input and the returned period is the exact
     periodic steady state (initial condition solved from
-    x* = Phi_T x* + forced response).
+    x* = Phi_T x* + forced response).  The output equals that of
+    `scipy.signal.lsim(..., interp=True)` bit for bit.
     """
     a, b, c = fm.state_space()
     u = trace.samples
+    if not u.size:
+        raise ParameterError("filter_response needs a trace with at least one sample")
     dt = 1.0 / trace.sample_rate
     if steady_state:
         u_closed = np.concatenate([u, u[:1]])
-        t = np.arange(u_closed.size) * dt
-        _, _, xout = signal.lsim((a, b, c, 0.0), u_closed, t, X0=np.zeros(2), interp=True)
-        x_forced = xout[-1]
+        x_forced = _foh_states(a, b, dt, u_closed, np.zeros(2))[-1]
         phi = expm(a * (u.size * dt))
         x_star = np.linalg.solve(np.eye(2) - phi, x_forced)
-        _, yout, _ = signal.lsim((a, b, c, 0.0), u_closed, t, X0=x_star, interp=True)
-        y = yout[: u.size]
+        x = _foh_states(a, b, dt, u_closed, x_star)[: u.size]
     else:
-        t = np.arange(u.size) * dt
-        _, y, _ = signal.lsim((a, b, c, 0.0), u, t, X0=np.zeros(2), interp=True)
-    return AnalogTrace(y, trace.sample_rate, trace.t0, trace.period_s)
+        x = _foh_states(a, b, dt, u, np.zeros(2))
+    return AnalogTrace(x @ c[0], trace.sample_rate, trace.t0, trace.period_s)
 
 
 def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
@@ -356,7 +385,8 @@ def settling_time(
     step selects the step amplitude: 'one_lsb' (band relative to one LSB
     step) or 'full_scale' (band_lsb relative to a 2**n_bits LSB step).  The
     settling instant is the last crossing of the closed-form response
-    envelope, found by bracketed root search; it scales exactly as 1/f_c.
+    envelope, found by bisection on its one-crossing bracket; it scales
+    exactly as 1/f_c.
     """
     if not (math.isfinite(band_lsb) and band_lsb > 0):
         raise ParameterError(f"band_lsb must be finite and positive, got {band_lsb}")
@@ -377,13 +407,22 @@ def settling_time(
     # extrema sit at th = m*pi with |dev| = exp(-m*pi), so the last band crossing
     # lies in the final interval whose entry extremum still exceeds the band
     def dev(theta: float) -> float:
-        return np.exp(-theta) * (np.cos(theta) + np.sin(theta))
+        return math.exp(-theta) * (math.cos(theta) + math.sin(theta))
 
     m = int(np.floor(-np.log(b) / np.pi))  # -log(b), not log(1/b): 1/b overflows
     while np.exp(-m * np.pi) <= b:  # guard against floor landing one high
         m -= 1
     sign = 1.0 if m % 2 == 0 else -1.0
-    theta = brentq(lambda th: dev(th) - sign * b, m * np.pi, (m + 1) * np.pi)
+    # dev' = -2 exp(-th) sin th keeps one sign on [m pi, (m+1) pi], so the
+    # bracket holds one crossing; halve it until no float lies between
+    lo, hi = m * np.pi, (m + 1) * np.pi
+    theta = 0.5 * (lo + hi)
+    while lo < theta < hi:
+        if sign * dev(theta) > b:
+            lo = theta
+        else:
+            hi = theta
+        theta = 0.5 * (lo + hi)
     seconds = math.sqrt(2.0) * theta / float(fm.omega_c)
     if not math.isfinite(seconds):
         raise ParameterError(f"settling time overflows for f_c = {fm.f_c} Hz")

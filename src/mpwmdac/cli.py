@@ -146,8 +146,9 @@ def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:
 def cmd_gen(args) -> int:
     cfg = _build_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
+    # every file's content and summary entry is built and checked before the
+    # first file is written, so a rejected command leaves no file behind
+    files, summary = [], []
     for duty in args.duty:
         wave = generate(cfg, DutyCode(duty, args.fine))
         config = _resolved(args, cfg, duty=duty, fine=args.fine)
@@ -165,16 +166,21 @@ def cmd_gen(args) -> int:
             rows = [[i, int(b)] for i, b in enumerate(wave.bits)]
             high = wave.duty_count / cfg.f_clk
         path = out_dir / f"{stem}.{args.format}"
-        _write_table(path, config, columns, rows, args.format)
         entry = {
             "duty": duty, "file": str(path), "pulses": count_pulses(wave), "high_time_s": high,
         }
+        trace, trace_path = None, out_dir / f"trace_{stem}.csv"
         if args.trace:
             trace = to_analog(wave, IDEAL_EDGES, args.oversample)
-            trace_path = out_dir / f"trace_{stem}.csv"
-            _write_csv(trace_path, {**config, "oversample": args.oversample}, trace.write_csv)
             entry["trace_file"] = str(trace_path)
+        _json(entry)
+        files.append((path, config, columns, rows, trace, trace_path))
         summary.append(entry)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, config, columns, rows, trace, trace_path in files:
+        _write_table(path, config, columns, rows, args.format)
+        if trace is not None:
+            _write_csv(trace_path, {**config, "oversample": args.oversample}, trace.write_csv)
     print(_json({"generated": summary}))
     return 0
 

@@ -151,9 +151,10 @@ def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
     tiled = np.tile(unit, 2)  # tiled[grid - s : 2 * grid - s] is unit rolled by s
     y = np.zeros(grid)
     ripples = np.empty(cfg.steps - 1)
-    for d, slot in enumerate(order[:-1]):
+    peak, trough = np.maximum.reduce, np.minimum.reduce  # y.max(), y.min() minus the wrapper
+    for d, slot in enumerate(order[:-1].tolist()):
         y += tiled[grid - 16 * slot : 2 * grid - 16 * slot]
-        ripples[d] = y.max() - y.min()
+        ripples[d] = peak(y) - trough(y)
     return ripples * cfg.steps
 
 

@@ -278,7 +278,39 @@ def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
     return "\n".join(lines) + "\n"
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19)
+
+
+def _decimal_widths(values: np.ndarray) -> np.ndarray:
+    """Digit count of each non-negative integer in decimal."""
+    return np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
+
+
+def _put_decimal(buf: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
+    """Write each value's ASCII decimal digits into buf, its units digit at `last`."""
+    place = 1
+    while True:
+        buf[last] = ord("0") + values // place % 10
+        place *= 10
+        more = values >= place
+        if not more.any():
+            return
+        last, values = last[more] - 1, values[more]
+
+
 def trace_to_csv(bits: np.ndarray) -> str:
-    """Per-cycle dump with header `cycle,out`."""
+    """Per-cycle dump with header `cycle,out`.
+
+    The rows `cycle,bit` are laid out as one byte array: row widths give
+    each row's end, then the digits, commas and newlines are filled in.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
-    return "".join(["cycle,out\n", *(f"{i},{b}\n" for i, b in enumerate(bits.tolist()))])
+    cycles, outs = np.arange(bits.size), bits.astype(np.int64)
+    out_widths = _decimal_widths(outs)
+    ends = np.cumsum(_decimal_widths(cycles) + out_widths + 2)  # one past each newline
+    buf = np.empty(ends[-1] if bits.size else 0, dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    buf[ends - 2 - out_widths] = ord(",")
+    _put_decimal(buf, ends - 3 - out_widths, cycles)
+    _put_decimal(buf, ends - 2, outs)
+    return "cycle,out\n" + buf.tobytes().decode()

@@ -124,6 +124,7 @@ class HarmonicSummary:
 NO_HARMONIC = None
 _AC_FLOOR = 1e-12  # AC magnitudes at or below this share of max(DC, 1) count as none
 _CHUNK_TERMS = 1 << 20  # k x run terms summed at once; bounds the working memory
+_K_MAX_LIMIT = _CHUNK_TERMS - 1  # so one run's k column fits one chunk: memory stays bounded
 
 
 def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int) -> np.ndarray:
@@ -132,11 +133,13 @@ def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int) -> n
     The phase index k (2 s + w) is reduced mod 2N in integers before it picks
     its root of unity, so the phase is exact at every k and a_0 sums w/N exactly.
     """
+    if k_max > _K_MAX_LIMIT:
+        raise ParameterError(f"k_max must be at most {_K_MAX_LIMIT}, got {k_max}")
     size = 1 << n
     k = np.arange(k_max + 1)
     roots = np.exp(-1j * np.pi / size * np.arange(2 * size))
     coeffs = np.zeros(k.size, dtype=complex)
-    step = max(1, _CHUNK_TERMS // max(k.size, 1))
+    step = _CHUNK_TERMS // max(k.size, 1)
     for i in range(0, starts.size, step):
         s, w = starts[i : i + step], widths[i : i + step]
         terms = np.sinc(np.outer(k, w) / size) * roots[np.outer(k, 2 * s + w) % (2 * size)]

@@ -1,10 +1,16 @@
 """Analog-path tests: edge model, exact filtering, ripple, settling."""
 
 import io
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpwmdac
 from mpwmdac import (
     AnalogTrace,
     EdgeModel,
@@ -14,6 +20,7 @@ from mpwmdac import (
     ParameterError,
     dc_average,
     filter_response,
+    generate,
     mpwm_wave,
     settling_time,
     steady_ripple,
@@ -130,6 +137,89 @@ def test_filter_preserves_period_mean():
     trace = to_analog(mpwm_wave(cfg, 97), em, 32)
     out = filter_response(trace, fm, steady_state=True)
     assert np.mean(out.samples) == pytest.approx(np.mean(trace.samples), rel=1e-9)
+
+
+def _lsim_response(trace, fm, steady_state):
+    """filter_response as two scipy.signal.lsim runs: the test-only oracle."""
+    from scipy import signal
+    from scipy.linalg import expm
+
+    a, b, c = fm.state_space()
+    u = trace.samples
+    dt = 1.0 / trace.sample_rate
+    if not steady_state:
+        return signal.lsim((a, b, c, 0.0), u, np.arange(u.size) * dt, X0=np.zeros(2))[1]
+    u_closed = np.concatenate([u, u[:1]])
+    t = np.arange(u_closed.size) * dt
+    x_forced = signal.lsim((a, b, c, 0.0), u_closed, t, X0=np.zeros(2))[2][-1]
+    x_star = np.linalg.solve(np.eye(2) - expm(a * (u.size * dt)), x_forced)
+    return signal.lsim((a, b, c, 0.0), u_closed, t, X0=x_star)[1][: u.size]
+
+
+_SLOW_EDGES = EdgeModel(t_dr=0.3e-9, t_df=0.1e-9, t_rise=0.5e-9, t_fall=0.6e-9)
+
+
+@pytest.mark.parametrize(
+    "cfg, duty, oversample, em, f_ct",
+    [
+        (ModulatorConfig.pwm(4), 5, 64, IDEAL_EDGES, 0.3),
+        (ModulatorConfig.pwm(7), 127, 32, _SLOW_EDGES, 0.03),
+        (ModulatorConfig.mpwm(8, 3), 77, 16, _SLOW_EDGES, 0.05),
+        (ModulatorConfig.mpwm(12, 5), 2049, 4, _SLOW_EDGES, 0.003),
+        (ModulatorConfig.pcm(6), 0, 8, IDEAL_EDGES, 0.01),  # lsim's zero-input branch
+        (ModulatorConfig.pcm(10), 513, 4, _SLOW_EDGES, 0.1),
+    ],
+    ids=lambda v: getattr(getattr(v, "kind", None), "value", None),
+)
+def test_filter_response_is_lsim_bit_for_bit(cfg, duty, oversample, em, f_ct):
+    trace = to_analog(generate(cfg, duty), em, oversample)
+    fm = FilterModel(f_ct / cfg.period)
+    for steady_state in (False, True):
+        out = filter_response(trace, fm, steady_state=steady_state)
+        assert np.array_equal(out.samples, _lsim_response(trace, fm, steady_state))
+
+
+def test_filter_rejects_an_empty_trace():
+    with pytest.raises(ParameterError, match="at least one sample"):
+        filter_response(AnalogTrace(np.zeros(0), 1e6), FilterModel(1e3))
+
+
+def _brentq_settling(fm, step, band_lsb, n_bits):
+    """settling_time through scipy.optimize.brentq: the test-only oracle."""
+    from scipy.optimize import brentq
+
+    b = band_lsb if step == "one_lsb" else band_lsb / (1 << n_bits)
+    if b >= 1.0:
+        return 0.0
+    m = int(np.floor(-np.log(b) / np.pi))
+    while np.exp(-m * np.pi) <= b:
+        m -= 1
+    sign = 1.0 if m % 2 == 0 else -1.0
+    theta = brentq(lambda th: np.exp(-th) * (np.cos(th) + np.sin(th)) - sign * b,
+                   m * np.pi, (m + 1) * np.pi)
+    return math.sqrt(2.0) * theta / fm.omega_c
+
+
+def test_settling_bisection_matches_brentq():
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        fm = FilterModel(10 ** rng.uniform(-3, 12))
+        step = str(rng.choice(["one_lsb", "full_scale"]))
+        band, n_bits = 10 ** rng.uniform(-300, 0.5), int(rng.integers(2, 17))
+        t = settling_time(fm, step, band, n_bits)
+        assert type(t) is float
+        assert t == pytest.approx(_brentq_settling(fm, step, band, n_bits), rel=1e-11)
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    src = str(Path(mpwmdac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, mpwmdac, mpwmdac.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

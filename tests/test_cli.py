@@ -254,6 +254,8 @@ _OUT_OF_RANGE = [
     ["settle", "--fc", "250", "--step", "full_scale", "--n=-1"],
     ["settle", "--fc", "250", "--step", "full_scale", "--n", "1000"],
     ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3", "--kmax=-5"],
+    ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3",
+     "--kmax", "1000000000000000"],
     ["settle", "--fc", "1e-320"],
     ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1e-320"],
     ["cutoff", "--kind", "mpwm", "--n", "6", "--sf", "3", "--ripple-target=1e-30"],
@@ -281,6 +283,18 @@ def test_rejected_input_is_strict_json_parameter_error(tmp_path, capsys, argv):
     assert out == ""
     record = json.loads(err, parse_constant=_reject_constant)
     assert record["error"] == "parameter_error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "3"],
+    ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "0", "3"],
+    ["gen", "--kind", "mpwm", "--n", "5", "--duty", "3", "99"],
+    ["gen", "--kind", "mpwm", "--n", "5", "--duty", "3", "--trace", "--oversample", "2"],
+], ids=" ".join)
+def test_rejected_gen_writes_no_file(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_settle_subnormal_band_is_finite(capsys):

@@ -243,3 +243,11 @@ def test_vcd_and_csv_dumps():
     lines = csv.splitlines()
     assert lines[0] == "cycle,out"
     assert lines[1:] == ["0,0", "1,0", "2,1", "3,1", "4,0"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 10, 11, 101, 1001, 16384])
+def test_csv_dump_equals_per_row_format(size):
+    rng = np.random.default_rng(size)
+    for bits in (rng.integers(0, 2, size), rng.integers(0, 256, size).astype(np.uint8)):
+        rows = (f"{i},{b}\n" for i, b in enumerate(bits.tolist()))
+        assert trace_to_csv(bits) == "".join(["cycle,out\n", *rows])

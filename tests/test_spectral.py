@@ -212,3 +212,14 @@ def test_negative_k_max_rejected_by_every_constructor(k_max):
     for build in builds:
         with pytest.raises(ParameterError, match="k_max >= 0"):
             build()
+
+
+def test_oversized_k_max_rejected_before_allocation():
+    from mpwmdac.spectral import _K_MAX_LIMIT
+
+    cfg = ModulatorConfig.mpwm(4, 1)
+    for build in (lambda k: unit_signal_coeffs(4, 3, k_max=k),
+                  lambda k: superpose_coeffs(cfg, 3, k_max=k)):
+        for k_max in (_K_MAX_LIMIT + 1, 10**15):
+            with pytest.raises(ParameterError, match="k_max must be at most"):
+                build(k_max)
