@@ -10,8 +10,6 @@ numpy and `scipy.linalg.expm` only.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -75,6 +73,11 @@ class EdgeModel:
             raise ParameterError(f"u_s must be positive, got {self.u_s}")
         if self.supply_rel_err <= -1:
             raise ParameterError(f"supply_rel_err must be > -1, got {self.supply_rel_err}")
+        if not (math.isfinite(self.u_nominal) and self.u_nominal > 0):
+            raise ParameterError(
+                f"u_s / (1 + supply_rel_err) overflows or underflows: u_s={self.u_s}, "
+                f"supply_rel_err={self.supply_rel_err}"
+            )
 
     @property
     def dw(self) -> float:
@@ -126,22 +129,6 @@ class FilterModel:
         theta = self.omega_c * np.clip(t, 0.0, None) / np.sqrt(2.0)
         return np.where(t < 0, 0.0, 1.0 - np.exp(-theta) * (np.cos(theta) + np.sin(theta)))
 
-    def write_response_table(self, fp: io.TextIOBase, f_hz: np.ndarray) -> None:
-        """Write rows (frequency_hz, magnitude, magnitude_db, phase_rad)."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["frequency_hz", "magnitude", "magnitude_db", "phase_rad"])
-        h = self.freq_response(f_hz)
-        for f, v in zip(np.asarray(f_hz, dtype=float), h):
-            mag = abs(v)
-            writer.writerow(
-                [
-                    f"{f:.12g}",
-                    f"{mag:.12g}",
-                    f"{20.0 * np.log10(mag):.12g}",
-                    f"{np.angle(v):.12g}",
-                ]
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class AnalogTrace:
@@ -150,7 +137,6 @@ class AnalogTrace:
 
     samples: np.ndarray
     sample_rate: float
-    t0: float = 0.0
     period_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -158,16 +144,6 @@ class AnalogTrace:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
-    def write_csv(self, fp: io.TextIOBase) -> None:
-        """Write rows (time_s, volts)."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["time_s", "volts"])
-        for t, v in zip(self.times(), self.samples):
-            writer.writerow([f"{t:.12g}", f"{v:.12g}"])
 
 
 def _as_edges(wave: BitWaveform | EdgeList) -> EdgeList:
@@ -196,7 +172,7 @@ def to_analog(
     rate = n_samples / period
 
     if not edges.times.size:
-        return AnalogTrace(np.zeros(n_samples), rate, 0.0, period)
+        return AnalogTrace(np.zeros(n_samples), rate, period)
 
     # 10-90% time covers 80% of the swing; full ramp duration is t/0.8
     dur = np.where(edges.risings, em.t_rise, em.t_fall) / 0.8
@@ -229,7 +205,7 @@ def to_analog(
     bp_v = np.tile(bp_v, 3)
     grid = np.arange(n_samples) / rate
     samples = np.interp(grid, bp_t, bp_v)
-    return AnalogTrace(samples, rate, 0.0, period)
+    return AnalogTrace(samples, rate, period)
 
 
 def _ideal_fraction(cfg: ModulatorConfig, duty: DutyCode) -> float:
@@ -324,7 +300,7 @@ def filter_response(
         x = _foh_states(a, b, dt, u_closed, x_star)[: u.size]
     else:
         x = _foh_states(a, b, dt, u, np.zeros(2))
-    return AnalogTrace(x @ c[0], trace.sample_rate, trace.t0, trace.period_s)
+    return AnalogTrace(x @ c[0], trace.sample_rate, trace.period_s)
 
 
 def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:

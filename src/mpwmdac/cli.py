@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Commands: gen, spectrum, metrics, cutoff, settle, repro, periph.  Outputs
-are deterministic: every data file except the periph dumps starts with a
-`# config:` header carrying the full resolved parameters (no timestamps),
-so identical invocations produce byte-identical files.  The periph CSV
+Commands: gen, spectrum, metrics, cutoff, settle, repro, periph.  Each
+command returns its JSON summary and the text of its data files; `main`
+checks the summary and only then writes the files, so a rejected command
+leaves no file behind.  Outputs are deterministic: every data file except
+the periph dumps starts with a `# config:` header carrying the full resolved
+parameters (no timestamps), so identical invocations produce byte-identical
+files.  The periph CSV
 starts with its `cycle,out` column line and the VCD with `$timescale`, so
 both load as plain CSV and VCD.  Summaries print to stdout as JSON; errors
 print a machine-readable record to stderr and exit nonzero (2 for parameter
@@ -25,7 +28,7 @@ periph     cycle,out
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import math
 import sys
@@ -40,6 +43,9 @@ from .metrics import MetricsReport, conversion_rate, required_cutoff
 from .modwave import DutyCode, EdgeList, Kind, ModulatorConfig, count_pulses, generate
 from .periph import PeripheralFault, run_script, trace_to_csv, trace_to_vcd
 from .spectral import dominant_harmonics, superpose_coeffs
+
+# a command's JSON summary and its data files as (path, text) pairs
+_Output = tuple[dict, list[tuple[Path, str]]]
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -80,25 +86,13 @@ def _json(obj, **kwargs) -> str:
         raise ParameterError(f"a value does not fit strict JSON ({exc})") from None
 
 
-def _write_csv(path: Path, config: dict, write_body) -> None:
-    """Write the `# config:` header line, then the CSV that write_body(fp) emits."""
-    buf = io.StringIO()
-    buf.write("# config: " + _json(config) + "\n")
-    write_body(buf)
-    path.write_text(buf.getvalue())
-
-
-def _write_table(path: Path, config: dict, columns: list[str], rows: list[list], fmt: str) -> None:
+def _table(config: dict, columns: list[str], rows: list[list], fmt: str = "csv") -> str:
+    """One data file's text: JSON {config, rows}, or CSV under a `# config:` line."""
     if fmt == "json":
-        payload = {"config": config, "rows": [dict(zip(columns, r)) for r in rows]}
-        path.write_text(_json(payload, indent=2) + "\n")
-        return
-
-    def write_rows(fp: io.TextIOBase) -> None:
-        for row in [columns, *rows]:
-            fp.write(",".join(str(v) for v in row) + "\n")
-
-    _write_csv(path, config, write_rows)
+        return _json({"config": config, "rows": [dict(zip(columns, r)) for r in rows]},
+                     indent=2) + "\n"
+    lines = ["# config: " + _json(config), *(",".join(map(str, r)) for r in [columns, *rows])]
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -143,12 +137,10 @@ def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> _Output:
     cfg = _build_config(args)
     out_dir = Path(args.out)
-    # every file's content and summary entry is built and checked before the
-    # first file is written, so a rejected command leaves no file behind
-    files, summary = [], []
+    files, generated = [], []
     for duty in args.duty:
         wave = generate(cfg, DutyCode(duty, args.fine))
         config = _resolved(args, cfg, duty=duty, fine=args.fine)
@@ -169,30 +161,32 @@ def cmd_gen(args) -> int:
         entry = {
             "duty": duty, "file": str(path), "pulses": count_pulses(wave), "high_time_s": high,
         }
-        trace, trace_path = None, out_dir / f"trace_{stem}.csv"
+        files.append((path, _table(config, columns, rows, args.format)))
         if args.trace:
             trace = to_analog(wave, IDEAL_EDGES, args.oversample)
+            times = np.arange(trace.samples.size) / trace.sample_rate
+            trace_path = out_dir / f"trace_{stem}.csv"
+            files.append((trace_path, _table(
+                {**config, "oversample": args.oversample}, ["time_s", "volts"],
+                [[_fmt(t), _fmt(v)] for t, v in zip(times, trace.samples)],
+            )))
             entry["trace_file"] = str(trace_path)
-        _json(entry)
-        files.append((path, config, columns, rows, trace, trace_path))
-        summary.append(entry)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, config, columns, rows, trace, trace_path in files:
-        _write_table(path, config, columns, rows, args.format)
-        if trace is not None:
-            _write_csv(trace_path, {**config, "oversample": args.oversample}, trace.write_csv)
-    print(_json({"generated": summary}))
-    return 0
+        generated.append(entry)
+    return {"generated": generated}, files
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> _Output:
     cfg = _build_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = superpose_coeffs(cfg, args.duty, k_max=args.kmax)
     config = _resolved(args, cfg, duty=args.duty, k_max=spec.k_max)
-    path = out_dir / f"spectrum_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{args.duty}.csv"
-    _write_csv(path, config, spec.write_csv)
+    path = Path(args.out) / f"spectrum_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{args.duty}.csv"
+    dc = abs(spec.coeffs[0])
+    rows = [
+        [k, _fmt(k * spec.fundamental_hz), _fmt(a.real), _fmt(a.imag), _fmt(abs(a)),
+         _fmt(abs(a) / dc) if dc > 0 else ""]  # "": no DC to scale by
+        for k, a in enumerate(spec.coeffs)
+    ]
+    columns = ["k", "frequency_hz", "re", "im", "magnitude", "magnitude_over_dc"]
     summary = {"file": str(path), "dc": spec.dc, "fundamental_hz": spec.fundamental_hz}
     peaks = dominant_harmonics(spec)
     if peaks is None:
@@ -206,15 +200,12 @@ def cmd_spectrum(args) -> int:
             f2_hz=peaks.f2,
             amp2_over_dc=peaks.amp2_over_dc,
         )
-    print(_json(summary))
-    return 0
+    return summary, [(path, _table(config, columns, rows))]
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> _Output:
     cfg = _build_config(args)
     em = _edge_model(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     fm = FilterModel(parse_freq(args.fc)) if args.fc else None
     report = MetricsReport.gather(
         cfg, em, fm=fm, ripple_target=args.ripple_target, band_lsb=args.band
@@ -223,24 +214,24 @@ def cmd_metrics(args) -> int:
         args, cfg, t_dr_s=em.t_dr, t_df_s=em.t_df, u_s=em.u_s,
         supply_rel_err=em.supply_rel_err,
     )
-    path = out_dir / f"metrics_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}.csv"
-    _write_csv(path, config, report.write_curves_csv)
-    summary = report.summary()
-    summary["curves_file"] = str(path)
-    print(_json(summary))
-    return 0
+    path = Path(args.out) / f"metrics_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}.csv"
+    rows = [
+        [d, count, _fmt(err)]
+        for d, (count, err) in enumerate(zip(report.edge_counts, report.static_error_lsb))
+    ]
+    table = _table(config, ["duty", "edge_count", "static_error_lsb"], rows)
+    return {**report.summary(), "curves_file": str(path)}, [(path, table)]
 
 
-def cmd_cutoff(args) -> int:
+def cmd_cutoff(args) -> _Output:
     cfg = _build_config(args)
     result = required_cutoff(cfg, args.ripple_target)
     payload = {"kind": cfg.kind.value, "n": cfg.n, "sf": cfg.sf}
     payload.update((k, v) for k, v in asdict(result).items() if v is not None)
-    print(_json(payload))
-    return 0
+    return payload, []
 
 
-def cmd_settle(args) -> int:
+def cmd_settle(args) -> _Output:
     fm = FilterModel(parse_freq(args.fc))
     seconds = settling_time(fm, step=args.step, band_lsb=args.band, n_bits=args.n)
     payload = {
@@ -251,16 +242,17 @@ def cmd_settle(args) -> int:
         "settling_s": seconds,
         "max_conversion_rate_hz": (1.0 / seconds) if seconds > 0 else None,  # None: unbounded
     }
-    if args.response_table:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "filter_response.csv"
-        grid = fm.f_c * np.logspace(-2, 3, 101)
-        _write_csv(path, {"command": "settle", "f_c_hz": fm.f_c},
-                   lambda fp: fm.write_response_table(fp, grid))
-        payload["response_table"] = str(path)
-    print(_json(payload))
-    return 0
+    if not args.response_table:
+        return payload, []
+    path = Path(args.out) / "filter_response.csv"
+    grid = fm.f_c * np.logspace(-2, 3, 101)
+    rows = [
+        [_fmt(f), _fmt(abs(h)), _fmt(20.0 * np.log10(abs(h))), _fmt(np.angle(h))]
+        for f, h in zip(grid, fm.freq_response(grid))
+    ]
+    columns = ["frequency_hz", "magnitude", "magnitude_db", "phase_rad"]
+    payload["response_table"] = str(path)
+    return payload, [(path, _table({"command": "settle", "f_c_hz": fm.f_c}, columns, rows))]
 
 
 def _repro_cutoffs(args):
@@ -325,7 +317,7 @@ def _repro_settling(args) -> tuple[dict, list[str], list[list]]:
     return config, columns, rows
 
 
-def cmd_repro(args) -> int:
+def cmd_repro(args) -> _Output:
     builders = {
         "cutoff_vs_resolution": _repro_cutoff,
         "inl_dnl": _repro_inl_dnl,
@@ -335,25 +327,18 @@ def cmd_repro(args) -> int:
         raise ParameterError(
             f"unknown figure {args.figure!r}; choose from {sorted(builders)}"
         )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config, columns, rows = builders[args.figure](args)
-    path = out_dir / f"repro_{args.figure}.{args.format}"
-    _write_table(path, {"command": "repro", "figure": args.figure, **config}, columns, rows,
-                 args.format)
-    print(_json({"figure": args.figure, "file": str(path)}))
-    return 0
+    path = Path(args.out) / f"repro_{args.figure}.{args.format}"
+    config = {"command": "repro", "figure": args.figure, **config}
+    return {"figure": args.figure, "file": str(path)}, [
+        (path, _table(config, columns, rows, args.format))
+    ]
 
 
-def cmd_periph(args) -> int:
-    script = Path(args.script).read_text()
-    result = run_script(script)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vcd_path = out_dir / "periph_trace.vcd"
-    csv_path = out_dir / "periph_trace.csv"
-    vcd_path.write_text(trace_to_vcd(result.bits))
-    csv_path.write_text(trace_to_csv(result.bits))
+def cmd_periph(args) -> _Output:
+    result = run_script(Path(args.script).read_text())
+    vcd_path = Path(args.out) / "periph_trace.vcd"
+    csv_path = Path(args.out) / "periph_trace.csv"
     payload = {
         "cycles": int(result.bits.size),
         "reads": [{"addr": a, "value": v} for a, v in result.reads],
@@ -361,8 +346,7 @@ def cmd_periph(args) -> int:
         "vcd": str(vcd_path),
         "csv": str(csv_path),
     }
-    print(_json(payload))
-    return 0
+    return payload, [(vcd_path, trace_to_vcd(result.bits)), (csv_path, trace_to_csv(result.bits))]
 
 
 # -- parser ---------------------------------------------------------------------
@@ -460,12 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its summary and files are all checked before any file is written."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # an overflow from finite inputs is a bad parameter, never an inf result
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            summary, files = args.func(args)
+        summary = _json(summary)
+        if files:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        for path, text in files:
+            path.write_text(text)
+        print(summary)
+        return 0
     except FloatingPointError as exc:
         record, code = {"error": "parameter_error", "detail": f"input out of range: {exc}"}, 2
     except PeripheralFault as fault:

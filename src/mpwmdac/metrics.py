@@ -8,9 +8,6 @@ than hidden inside the functions.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -330,13 +327,3 @@ class MetricsReport:
         if self.max_conversion_rate_hz == math.inf:
             out["max_conversion_rate_hz"] = None  # unbounded: settles at once
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2, allow_nan=False)
-
-    def write_curves_csv(self, fp: io.TextIOBase) -> None:
-        """Write rows (duty, edge_count, static_error_lsb)."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["duty", "edge_count", "static_error_lsb"])
-        for d, (count, err) in enumerate(zip(self.edge_counts, self.static_error_lsb)):
-            writer.writerow([d, count, f"{err:.12g}"])

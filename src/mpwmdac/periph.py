@@ -258,8 +258,8 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
     return ScriptResult(bits=bits, reads=reads, final_registers=periph.registers())
 
 
-def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
-    """Change-dump of the output bit, one clock cycle per `clock_ns`."""
+def trace_to_vcd(bits: np.ndarray) -> str:
+    """Change-dump of the output bit at 10 ns per clock cycle."""
     bits = np.asarray(bits, dtype=np.uint8)
     lines = [
         "$timescale 1ns $end",
@@ -272,9 +272,9 @@ def trace_to_vcd(bits: np.ndarray, clock_ns: float = 10.0) -> str:
     ]
     edges = np.flatnonzero(np.diff(bits)) + 1
     for i, b in zip(edges.tolist(), bits[edges].tolist()):
-        lines += (f"#{int(round(i * clock_ns))}", f"{b}!")
+        lines += (f"#{10 * i}", f"{b}!")
     if bits.size:
-        lines.append(f"#{int(round(bits.size * clock_ns))}")
+        lines.append(f"#{10 * bits.size}")
     return "\n".join(lines) + "\n"
 
 

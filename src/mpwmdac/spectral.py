@@ -16,8 +16,6 @@ zero-order-hold bin correction, giving an independent numeric cross-check.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,17 +89,6 @@ class Spectrum:
         # slot counts are powers of two, so the Nyquist bin k = N/2 exists
         power = bins[0] ** 2 + 2.0 * np.sum(bins[1:half] ** 2) + bins[half] ** 2
         return float(power)
-
-    def write_csv(self, fp: io.TextIOBase) -> None:
-        """Write rows (k, frequency_hz, re, im, magnitude, magnitude_over_dc)."""
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["k", "frequency_hz", "re", "im", "magnitude", "magnitude_over_dc"])
-        dc = abs(self.coeffs[0])
-        for k, a in enumerate(self.coeffs):
-            mag = abs(a)
-            over_dc = f"{mag / dc:.12g}" if dc > 0 else ""  # "": no DC to scale by
-            writer.writerow([k, f"{k * self.fundamental_hz:.12g}", f"{a.real:.12g}",
-                             f"{a.imag:.12g}", f"{mag:.12g}", over_dc])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Analog-path tests: edge model, exact filtering, ripple, settling."""
 
-import io
 import math
 import os
 import subprocess
@@ -226,7 +225,9 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     "build",
     [lambda: EdgeModel(t_dr=float("nan")), lambda: EdgeModel(t_fall=float("inf")),
      lambda: EdgeModel(u_s=float("nan")), lambda: EdgeModel(supply_rel_err=float("-inf")),
-     lambda: EdgeModel(supply_rel_err=-1.0), lambda: FilterModel(float("inf")),
+     lambda: EdgeModel(supply_rel_err=-1.0), lambda: EdgeModel(u_s=1e308, supply_rel_err=-0.99),
+     lambda: EdgeModel(u_s=5e-324, supply_rel_err=1e300),
+     lambda: FilterModel(float("inf")),
      lambda: settling_time(FilterModel(250.0), band_lsb=float("nan")),
      lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, -1),
      lambda: settling_time(FilterModel(250.0), "full_scale", 0.5, 1000),
@@ -314,19 +315,3 @@ def test_settling_full_scale_slower_than_one_lsb():
     fm = FilterModel(250.0)
     assert settling_time(fm, "full_scale", 0.5, 12) > settling_time(fm, "one_lsb", 0.5)
 
-
-def test_trace_csv_schema():
-    trace = AnalogTrace(np.array([0.0, 1.0]), 2.0, t0=0.0)
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    assert buf.getvalue().splitlines() == ["time_s,volts", "0,0", "0.5,1"]
-
-
-def test_filter_table_schema():
-    fm = FilterModel(100.0)
-    buf = io.StringIO()
-    fm.write_response_table(buf, np.array([100.0]))
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "frequency_hz,magnitude,magnitude_db,phase_rad"
-    row = lines[1].split(",")
-    assert float(row[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)

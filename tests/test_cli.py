@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpwmdac.cli
 from mpwmdac import ParameterError
-from mpwmdac.cli import _json, main, parse_freq, parse_time
+from mpwmdac.cli import _json, _parser, main, parse_freq, parse_time
 
 
 def run_cli(capsys, *argv):
@@ -89,8 +92,21 @@ def test_spectrum_summary_and_file(tmp_path, capsys):
     period = 32 / 100e6
     assert summary["k1"] == 4
     assert summary["f1_hz"] == pytest.approx(4 / period)
-    lines = (tmp_path / "spectrum_mpwm_n5_sf2_d16.csv").read_text().splitlines()
-    assert lines[1] == "k,frequency_hz,re,im,magnitude,magnitude_over_dc"
+    config, header, rows = read_table(tmp_path / "spectrum_mpwm_n5_sf2_d16.csv")
+    assert header == ["k", "frequency_hz", "re", "im", "magnitude", "magnitude_over_dc"]
+    assert len(rows) == config["k_max"] + 1
+    assert rows[0][0] == "0" and float(rows[0][5]) == 1.0
+
+
+def test_spectrum_csv_without_dc_leaves_ratio_empty(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1",
+        "--duty", "0", "--out", str(tmp_path),
+    )
+    assert code == 0
+    _, _, rows = read_table(tmp_path / "spectrum_mpwm_n4_sf1_d0.csv")
+    assert len(rows) == 9
+    assert all(row[4] == "0" and row[5] == "" for row in rows)
 
 
 def test_metrics_pcm_inl_in_summary(tmp_path, capsys):
@@ -263,6 +279,7 @@ _OUT_OF_RANGE = [
     # an overflow or a non-finite result from finite inputs
     ["cutoff", "--kind", "pcm", "--n", "4", "--fclk=1e308"],
     ["metrics", "--kind", "pcm", "--n", "4", "--fclk=0.5", "--supply-err=1e308"],
+    ["metrics", "--kind", "pwm", "--n", "4", "--us=5e-324", "--supply-err=1e300"],
     ["repro", "--figure", "inl_dnl", "--n", "4", "--tdr=1e308", "--fclk=100GHz"],
     ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "3"],
     ["repro", "--figure", "settling", "--n-list", "5", "--sf-list", "5", "--ripple-target=inf"],
@@ -290,8 +307,12 @@ def test_rejected_input_is_strict_json_parameter_error(tmp_path, capsys, argv):
     ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "0", "3"],
     ["gen", "--kind", "mpwm", "--n", "5", "--duty", "3", "99"],
     ["gen", "--kind", "mpwm", "--n", "5", "--duty", "3", "--trace", "--oversample", "2"],
+    # rejected only after its data file's text is built
+    ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3", "--kmax", "2"],
+    # once left a file; now rejected when its EdgeModel is built, before any row
+    ["metrics", "--kind", "pwm", "--n", "4", "--us", "1e308", "--supply-err=-0.99"],
 ], ids=" ".join)
-def test_rejected_gen_writes_no_file(tmp_path, capsys, argv):
+def test_rejected_command_writes_no_file(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and out == ""
     assert list(tmp_path.iterdir()) == []
@@ -403,13 +424,14 @@ def test_fuzzed_argv_exits_cleanly_with_strict_json(argv):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")  # a numeric warning escapes main and fails
         code = main([*argv, "--out", tmp])
+        written = list(Path(tmp).iterdir())
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
         json.loads(out, parse_constant=_reject_constant)
     else:
-        assert out == ""
+        assert out == "" and written == []
         assert "error" in json.loads(err, parse_constant=_reject_constant)
 
 
@@ -425,6 +447,9 @@ def test_gen_trace_export(tmp_path, capsys):
     assert len(lines) == 2 + 16 * 8
     volts = [float(line.split(",")[1]) for line in lines[2:]]
     assert sum(volts) / len(volts) == pytest.approx(0.5)
+    # 8 samples per 10 ns cycle; the ideal edges step down after the 8 high cycles
+    rows = [line.split(",") for line in lines[2:]]
+    assert rows == [[f"{i / 8e8:.12g}", str(int(i < 64))] for i in range(128)]
 
 
 def test_settle_response_table(tmp_path, capsys):
@@ -435,7 +460,7 @@ def test_settle_response_table(tmp_path, capsys):
     lines = (tmp_path / "filter_response.csv").read_text().splitlines()
     assert lines[1] == "frequency_hz,magnitude,magnitude_db,phase_rad"
     mags = {float(r.split(",")[0]): float(r.split(",")[1]) for r in lines[2:]}
-    assert mags[1000.0] == pytest.approx(2**-0.5, abs=1e-9)
+    assert mags[1000.0] == pytest.approx(2**-0.5, abs=1e-12)
 
 
 def test_json_format_output(tmp_path, capsys):
@@ -447,3 +472,81 @@ def test_json_format_output(tmp_path, capsys):
     payload = json.loads((tmp_path / "bits_pwm_n4_sf0_d5.json").read_text())
     assert payload["config"]["kind"] == "pwm"
     assert sum(r["bit"] for r in payload["rows"]) == 5
+
+
+# one command per line of the "CSV schemas" block in the cli docstring
+_SCHEMA_RUNS = {
+    "gen": (["gen", "--kind", "pwm", "--n", "4", "--duty", "5"], "bits_pwm_n4_sf0_d5.csv"),
+    "gen hrmpwm": (["gen", "--kind", "hrmpwm", "--n", "4", "--sf", "1", "--duty", "5"],
+                   "edges_hrmpwm_n4_sf1_d5_f0.csv"),
+    "gen --trace": (["gen", "--kind", "pwm", "--n", "4", "--duty", "5", "--trace"],
+                    "trace_bits_pwm_n4_sf0_d5.csv"),
+    "spectrum": (["spectrum", "--kind", "pwm", "--n", "4", "--duty", "5"],
+                 "spectrum_pwm_n4_sf0_d5.csv"),
+    "metrics": (["metrics", "--kind", "pwm", "--n", "4"], "metrics_pwm_n4_sf0.csv"),
+    "settle --response-table": (["settle", "--fc", "1kHz", "--response-table"],
+                                "filter_response.csv"),
+    "repro cutoff_vs_resolution": (
+        ["repro", "--figure", "cutoff_vs_resolution", "--n-list", "6", "--sf-list", "0"],
+        "repro_cutoff_vs_resolution.csv"),
+    "repro inl_dnl": (["repro", "--figure", "inl_dnl", "--n", "4"], "repro_inl_dnl.csv"),
+    "repro settling": (["repro", "--figure", "settling", "--n-list", "6", "--sf-list", "0"],
+                       "repro_settling.csv"),
+    "periph": (["periph"], "periph_trace.csv"),
+}
+
+
+def _documented_schemas():
+    """{label: column line} from the cli docstring; `(kind: columns)` adds `label kind`."""
+    block = mpwmdac.cli.__doc__.split("CSV schemas\n-----------\n")[1]
+    schemas = {}
+    for line in block.strip().splitlines():
+        label, columns, *variant = re.split(r"\s{2,}", line.strip())
+        schemas[label] = columns
+        for kind, alt in (re.fullmatch(r"\((\w+): (\S+)\)", v).groups() for v in variant):
+            schemas[f"{label} {kind}"] = alt
+    return schemas
+
+
+def test_docstring_schemas_match_written_column_lines(tmp_path, capsys):
+    script = tmp_path / "prog.txt"
+    script.write_text("write 0x04 4\nwrite 0x08 5\nwrite 0x00 0x11\nstep 64\n")
+    schemas = _documented_schemas()
+    assert set(schemas) == set(_SCHEMA_RUNS)
+    for label, columns in schemas.items():
+        argv, name = _SCHEMA_RUNS[label]
+        out = tmp_path / label.replace(" ", "_")
+        extra = ["--script", str(script)] if argv == ["periph"] else []
+        assert run_cli(capsys, *argv, *extra, "--out", str(out))[0] == 0, label
+        lines = (out / name).read_text().splitlines()
+        column_line = lines[1] if lines[0].startswith("# config: ") else lines[0]
+        assert column_line == columns, label
+
+
+def test_main_repeats_byte_identical_in_one_process(tmp_path, capsys):
+    """The parser is built once per process; no run changes what a later run parses."""
+    script = tmp_path / "prog.txt"
+    script.write_text("write 0x04 6\nwrite 0x08 9\nwrite 0x00 0x21\nstep 200\nread 0x10\n")
+    argvs = [
+        ["gen", "--kind", "mpwm", "--n", "5", "--sf", "1", "--duty", "3", "16", "--trace"],
+        ["spectrum", "--kind", "pcm", "--n", "5", "--duty", "7"],
+        ["metrics", "--kind", "mpwm", "--n", "6", "--sf", "2", "--tdr", "1ns", "--fc", "1MHz"],
+        ["cutoff", "--kind", "pwm", "--n", "6"],
+        ["settle", "--fc", "1kHz", "--response-table"],
+        ["repro", "--figure", "settling", "--n-list", "6", "8", "--format", "json"],
+        ["periph", "--script", str(script)],
+    ]
+    out = tmp_path / "out"
+
+    def run(argv):
+        result = run_cli(capsys, *argv, "--out", str(out))
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        return result, files
+
+    first = [run(argv) for argv in argvs]
+    assert all(code == 0 for (code, _, _), _ in first)
+    assert run(["repro", "--figure", "cutoff_vs_resolution"])[0][0] == 0  # default lists
+    assert [run(argv) for argv in argvs] == first
+    defaults = _parser().parse_args(["repro", "--figure", "settling"])
+    assert (defaults.n_list, defaults.sf_list) == ([8, 10, 12], [0, 3, 7])

@@ -1,8 +1,6 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
 import inspect
-import io
-import json
 
 import numpy as np
 import pytest
@@ -222,19 +220,15 @@ def test_conversion_rate_tracks_cutoff_ratio():
     assert r2 / r1 == pytest.approx(4.0, rel=1e-9)
 
 
-def test_metrics_report_serialization():
+def test_metrics_report_summary():
     cfg = ModulatorConfig.mpwm(6, 2)
     report = MetricsReport.gather(cfg, EM_1NS)
-    summary = json.loads(report.to_json())
+    summary = report.summary()
     assert summary["inl_lsb"] == pytest.approx(0.4)
     assert summary["dnl_lsb"] == pytest.approx(0.1)
     assert summary["u_lsb"] == pytest.approx(1 / 64)
     assert "settling_s" not in summary  # no filter requested
-    buf = io.StringIO()
-    report.write_curves_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "duty,edge_count,static_error_lsb"
-    assert len(lines) == 65
+    assert "edge_counts" not in summary  # the per-duty curves go to the CLI's data file
 
 
 def test_metrics_report_with_filter():

@@ -235,7 +235,7 @@ def test_script_matches_period_at_a_time_model(n, data):
 
 def test_vcd_and_csv_dumps():
     bits = np.array([0, 0, 1, 1, 0], dtype=np.uint8)
-    vcd = trace_to_vcd(bits, clock_ns=10.0)
+    vcd = trace_to_vcd(bits)
     assert "$timescale 1ns $end" in vcd
     assert "#20\n1!" in vcd
     assert "#40\n0!" in vcd

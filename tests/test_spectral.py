@@ -1,6 +1,5 @@
 """Spectrum tests: closed forms vs numeric transform, Parseval, dominance."""
 
-import io
 import math
 import tracemalloc
 
@@ -153,17 +152,6 @@ def test_linearity_of_disjoint_slot_sums(n, data):
     assert np.max(np.abs(total - direct.coeffs)) <= 1e-12
 
 
-def test_spectrum_csv_schema():
-    spec = superpose_coeffs(ModulatorConfig.mpwm(5, 2), 16)
-    buf = io.StringIO()
-    spec.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k,frequency_hz,re,im,magnitude,magnitude_over_dc"
-    assert len(lines) == spec.k_max + 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[5]) == 1.0
-
-
 def test_parameter_errors():
     with pytest.raises(ParameterError, match=r"\[0, 31\]"):
         unit_signal_coeffs(5, 32)
@@ -190,14 +178,6 @@ def test_superpose_beyond_n12_matches_dft_in_bounded_memory(cfg, duty):
     assert np.max(np.abs(analytic.coeffs - numeric.coeffs)) <= 1e-12
     assert analytic.dc == duty / cfg.steps
     assert peak < 100e6
-
-
-def test_spectrum_csv_without_dc_leaves_ratio_empty():
-    buf = io.StringIO()
-    superpose_coeffs(ModulatorConfig.mpwm(4, 1), 0).write_csv(buf)
-    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
-    assert len(rows) == 9
-    assert all(row[4] == "0" and row[5] == "" for row in rows)
 
 
 @pytest.mark.parametrize("k_max", [-1, -5])
