@@ -1,115 +1,21 @@
 """Bit-accurate behavioral simulator and measurement toolkit for
 pulse-modulation DACs (PWM, PCM, first-order noise shaping, and the
-split-period MPWM scheme with an optional sub-clock fine stage)."""
+split-period MPWM scheme with an optional sub-clock fine stage).
 
-from .analog import (
-    AnalogTrace,
-    EdgeModel,
-    FilterModel,
-    IDEAL_EDGES,
-    dc_average,
-    filter_response,
-    settling_time,
-    steady_ripple,
-    to_analog,
-)
+The package root re-exports the `__all__` of every module, so each public
+name is listed once, in the module that defines it."""
+
+from . import analog, metrics, modwave, periph, spectral
+from .analog import *  # noqa: F403
 from .errors import ParameterError
-from .metrics import (
-    CutoffResult,
-    MetricsReport,
-    conversion_rate,
-    cutoff_rule_of_thumb,
-    dnl,
-    dnl_closed_form,
-    edge_counts_sweep,
-    inl,
-    inl_closed_form,
-    required_cutoff,
-    static_error,
-    worst_steady_ripple,
-)
-from .modwave import (
-    BitWaveform,
-    DecoderState,
-    DutyCode,
-    EdgeList,
-    Kind,
-    ModulatorConfig,
-    bit_reverse,
-    count_pulses,
-    edge_count_formula,
-    fons_wave,
-    generate,
-    hr_mpwm_wave,
-    mpwm_wave,
-    mpwm_wave_decoder,
-    rearranged_counter,
-)
-from .periph import (
-    FaultCode,
-    MpwmPeripheral,
-    PeripheralFault,
-    run_script,
-)
-from .spectral import (
-    HarmonicSummary,
-    NO_HARMONIC,
-    Spectrum,
-    dft_period,
-    dominant_harmonics,
-    superpose_coeffs,
-    unit_signal_coeffs,
-)
+from .metrics import *  # noqa: F403
+from .modwave import *  # noqa: F403
+from .periph import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalogTrace",
-    "BitWaveform",
-    "CutoffResult",
-    "DecoderState",
-    "DutyCode",
-    "EdgeList",
-    "EdgeModel",
-    "FaultCode",
-    "FilterModel",
-    "HarmonicSummary",
-    "IDEAL_EDGES",
-    "Kind",
-    "MetricsReport",
-    "ModulatorConfig",
-    "MpwmPeripheral",
-    "NO_HARMONIC",
-    "ParameterError",
-    "PeripheralFault",
-    "Spectrum",
-    "bit_reverse",
-    "conversion_rate",
-    "count_pulses",
-    "cutoff_rule_of_thumb",
-    "dc_average",
-    "dft_period",
-    "dnl",
-    "dnl_closed_form",
-    "dominant_harmonics",
-    "edge_count_formula",
-    "edge_counts_sweep",
-    "filter_response",
-    "fons_wave",
-    "generate",
-    "hr_mpwm_wave",
-    "inl",
-    "inl_closed_form",
-    "mpwm_wave",
-    "mpwm_wave_decoder",
-    "rearranged_counter",
-    "required_cutoff",
-    "run_script",
-    "settling_time",
-    "static_error",
-    "steady_ripple",
-    "superpose_coeffs",
-    "to_analog",
-    "unit_signal_coeffs",
-    "worst_steady_ripple",
+    "ParameterError", *analog.__all__, *metrics.__all__, *modwave.__all__,
+    *periph.__all__, *spectral.__all__,
 ]

@@ -26,7 +26,7 @@ from .modwave import (
     count_pulses,
     generate,
 )
-from .spectral import _hold_envelope
+from .spectral import _held_coeffs
 
 __all__ = [
     "EdgeModel",
@@ -91,6 +91,7 @@ class EdgeModel:
 
 
 IDEAL_EDGES = EdgeModel(t_rise=0.0, t_fall=0.0)
+_MAX_TRACE_SAMPLES = 1 << 22  # samples per trace: n = 16 at the default oversample of 64
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,11 @@ def to_analog(
     edges = _as_edges(wave)
     period = edges.period
     n_samples = int(round(period * edges.f_clk)) * oversample
+    if n_samples > _MAX_TRACE_SAMPLES:
+        raise ParameterError(
+            f"a trace of {n_samples} samples exceeds the limit of {_MAX_TRACE_SAMPLES}; "
+            "lower the oversample"
+        )
     rate = n_samples / period
 
     if not edges.times.size:
@@ -313,12 +319,10 @@ def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) ->
     size = cfg.steps
     k_max = 4 * size
     grid = 16 * size
-    dft = np.fft.fft(bits.astype(float)) / size
     k = np.arange(k_max + 1)
-    coeffs = dft[k % size] * _hold_envelope(k, size)
     h = fm.freq_response(k * cfg.f_clk / size)  # harmonic k sits at k/T
     spec = np.zeros(grid // 2 + 1, dtype=complex)
-    spec[: k_max + 1] = coeffs * h * grid
+    spec[: k_max + 1] = _held_coeffs(bits, k) * h * grid
     return np.fft.irfft(spec, n=grid)
 
 
@@ -336,7 +340,6 @@ def steady_ripple(
     the period, filters it at its exact periodic steady state and measures
     the swing (cross-check path); the two agree within 1%.
     """
-    duty = _coerce_duty(cfg, duty)
     wave = generate(cfg, duty)
     if isinstance(wave, EdgeList):
         raise ParameterError("steady_ripple expects a cycle-quantized modulator kind")

@@ -110,17 +110,6 @@ def _build_config(args) -> ModulatorConfig:
     return ModulatorConfig(kind, args.n, sf, parse_freq(args.fclk), fine_bits)
 
 
-def _edge_model(args) -> EdgeModel:
-    return EdgeModel(
-        t_dr=parse_time(args.tdr),
-        t_df=parse_time(args.tdf),
-        t_rise=parse_time(args.trise),
-        t_fall=parse_time(args.tfall),
-        u_s=args.us,
-        supply_rel_err=args.supply_err,
-    )
-
-
 def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:
     config = {
         "command": args.command,
@@ -205,7 +194,8 @@ def cmd_spectrum(args) -> _Output:
 
 def cmd_metrics(args) -> _Output:
     cfg = _build_config(args)
-    em = _edge_model(args)
+    em = EdgeModel(t_dr=parse_time(args.tdr), t_df=parse_time(args.tdf), u_s=args.us,
+                   supply_rel_err=args.supply_err)
     fm = FilterModel(parse_freq(args.fc)) if args.fc else None
     report = MetricsReport.gather(
         cfg, em, fm=fm, ripple_target=args.ripple_target, band_lsb=args.band
@@ -382,14 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--fine-bits", dest="fine_bits", type=int, default=None,
                      help="fine delay-line bits (hrmpwm only; default 4)")
 
-    edges = argparse.ArgumentParser(add_help=False)
-    edges.add_argument("--tdr", default="0", help="rising-edge delay (e.g. 1ns)")
-    edges.add_argument("--tdf", default="0", help="falling-edge delay")
-    edges.add_argument("--trise", default="0", help="10-90%% rise time")
-    edges.add_argument("--tfall", default="0", help="10-90%% fall time")
-    edges.add_argument("--us", type=float, default=1.0, help="supply voltage")
-    edges.add_argument("--supply-err", dest="supply_err", type=float, default=0.0)
-
     p = sub.add_parser("gen", parents=[common, fmt, mod], help="generate waveforms")
     p.add_argument("--duty", type=int, nargs="+", required=True)
     p.add_argument("--fine", type=int, default=0)
@@ -404,8 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("metrics", parents=[common, mod, edges],
-                       help="static error, INL, DNL")
+    p = sub.add_parser("metrics", parents=[common, mod], help="static error, INL, DNL")
+    p.add_argument("--tdr", default="0", help="rising-edge delay (e.g. 1ns)")
+    p.add_argument("--tdf", default="0", help="falling-edge delay")
+    p.add_argument("--us", type=float, default=1.0, help="supply voltage")
+    p.add_argument("--supply-err", dest="supply_err", type=float, default=0.0)
     p.add_argument("--fc", default=None, help="filter cutoff for settling figures")
     p.add_argument("--ripple-target", dest="ripple_target", type=float, default=None)
     p.add_argument("--band", type=float, default=0.5)

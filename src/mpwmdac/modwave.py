@@ -243,7 +243,10 @@ class EdgeList:
 
     @classmethod
     def from_bits(cls, wave: BitWaveform) -> "EdgeList":
+        """The transitions of a bit period; an all-high period has none to list."""
         bits = wave.bits
+        if bits.all():
+            raise ParameterError("an all-high period has no edges; an EdgeList cannot hold it")
         prev = np.roll(bits, 1)
         idx = np.nonzero(bits != prev)[0]
         times = idx / wave.f_clk
@@ -394,21 +397,18 @@ def hr_mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> EdgeList:
     if cfg.kind != Kind.HRMPWM:
         raise ParameterError(f"kind must be hrmpwm for this generator, got {cfg.kind.value}")
     duty = _coerce_duty(cfg, duty)
-    coarse_cfg = replace(cfg, kind=Kind.MPWM, fine_bits=0)
-    base = mpwm_wave(coarse_cfg, DutyCode(duty.coarse))
+    base = mpwm_wave(replace(cfg, kind=Kind.MPWM, fine_bits=0), DutyCode(duty.coarse))
     edges = EdgeList.from_bits(base)
     if duty.fine == 0:
-        return EdgeList(edges.times, edges.risings, cfg.period, cfg.f_clk)
+        return edges
     shift = duty.fine * cfg.t_d
     if not edges.times.size:
-        times = np.array([0.0, shift])
-        risings = np.array([True, False])
-        return EdgeList(times, risings, cfg.period, cfg.f_clk)
+        return EdgeList(np.array([0.0, shift]), np.array([True, False]), cfg.period, cfg.f_clk)
+    # the shift is under one clock and the next edge at least one clock
+    # later, so the delayed edge keeps its place in time order
     times = edges.times.copy()
-    falling_idx = np.nonzero(~edges.risings)[0]
-    times[falling_idx[-1]] += shift
-    order = np.argsort(times, kind="stable")
-    return EdgeList(times[order], edges.risings[order], cfg.period, cfg.f_clk)
+    times[np.nonzero(~edges.risings)[0][-1]] += shift
+    return EdgeList(times, edges.risings, cfg.period, cfg.f_clk)
 
 
 def generate(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform | EdgeList:

@@ -162,10 +162,6 @@ class MpwmPeripheral:
     def locked(self) -> bool:
         return self._en and self._cycles_since_en >= LOCK_LATENCY_CYCLES
 
-    @property
-    def cycle(self) -> int:
-        return self._cycles_since_en
-
     def registers(self) -> dict[str, int]:
         """Observable register state (used by fault-atomicity checks)."""
         return {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .modwave import BitWaveform, ModulatorConfig, mpwm_wave, _coerce_duty
+from .modwave import BitWaveform, EdgeList, ModulatorConfig, generate
 
 __all__ = [
     "Spectrum",
@@ -63,9 +63,6 @@ class Spectrum:
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.coeffs)
-
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.coeffs.size) * self.fundamental_hz
 
     def total_power(self) -> float:
         """Two-sided sum over all k in Z of |a_k|**2, in closed form.
@@ -157,11 +154,12 @@ def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Sp
     """Analytic spectrum of the generated waveform by run superposition.
 
     Sums the closed-form rectangle coefficients over the runs of high slots
-    of mpwm_wave(cfg, duty); a pulse that wraps the period is two runs.
+    of generate(cfg, duty); a pulse that wraps the period is two runs.
     Independent of (and checked against) `dft_period`.
     """
-    duty = _coerce_duty(cfg, duty)
-    wave = mpwm_wave(cfg, duty)
+    wave = generate(cfg, duty)
+    if isinstance(wave, EdgeList):
+        raise ParameterError("superpose_coeffs expects a cycle-quantized modulator kind")
     if k_max is None:
         k_max = cfg.steps // 2
     edges = np.diff(wave.bits.astype(np.int8), prepend=0, append=0)
@@ -170,19 +168,22 @@ def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Sp
     return Spectrum(coeffs, cfg.f_clk / cfg.steps, cfg.steps)
 
 
-def _hold_envelope(k: np.ndarray, size: int) -> np.ndarray:
-    """Zero-order-hold factor exp(-j pi k/N) * sinc(k/N) for harmonics k.
+def _held_coeffs(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Series coefficients a_k of the held (staircase) waveform of one period.
 
-    Multiplying DFT bin X_(k mod N) of an N-sample period by it gives the
-    series coefficient a_k of the held (staircase) continuous waveform.
+    DFT bin X_(k mod N) of the N-sample period, times the zero-order-hold
+    factor exp(-j pi k/N) * sinc(k/N), is the coefficient a_k of the held
+    continuous waveform, for any harmonic k.
     """
-    return np.exp(-1j * np.pi * k / size) * np.sinc(k / size)
+    size = bits.size
+    bins = np.fft.fft(bits.astype(float)) / size
+    return bins[k % size] * (np.exp(-1j * np.pi * k / size) * np.sinc(k / size))
 
 
 def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
     """Numeric spectrum of one period via FFT plus hold correction.
 
-    The DFT bin X_k describes the sample train; `_hold_envelope` converts it
+    The DFT bin X_k describes the sample train; `_held_coeffs` converts it
     to the series coefficient of the held (zero-order) continuous waveform,
     so analytic and numeric spectra agree to machine precision.
     """
@@ -196,9 +197,7 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
         raise ParameterError(
             f"dft_period resolves k <= {half} for {size} samples, got k_max={k_max}"
         )
-    bins = np.fft.rfft(wave.bits.astype(float)) / size
-    k = np.arange(k_max + 1)
-    return Spectrum(bins[k] * _hold_envelope(k, size), wave.f_clk / size, size)
+    return Spectrum(_held_coeffs(wave.bits, np.arange(k_max + 1)), wave.f_clk / size, size)
 
 
 def dominant_harmonics(spec: Spectrum) -> HarmonicSummary | None:

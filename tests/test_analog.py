@@ -12,6 +12,7 @@ import pytest
 import mpwmdac
 from mpwmdac import (
     AnalogTrace,
+    BitWaveform,
     EdgeModel,
     FilterModel,
     IDEAL_EDGES,
@@ -25,6 +26,7 @@ from mpwmdac import (
     steady_ripple,
     to_analog,
 )
+from mpwmdac.analog import _MAX_TRACE_SAMPLES
 
 
 def test_ideal_trace_mean_is_duty_fraction():
@@ -98,6 +100,13 @@ def test_to_analog_rejects_unresolvable_edges():
         to_analog(mpwm_wave(cfg, 32), em, 64)
     with pytest.raises(ParameterError, match="oversample"):
         to_analog(mpwm_wave(cfg, 32), IDEAL_EDGES, 2)
+
+
+def test_to_analog_bounds_the_trace_length():
+    wave = BitWaveform(np.zeros(1 << 16, dtype=np.uint8), 1e6)
+    assert len(to_analog(wave, IDEAL_EDGES, 64)) == _MAX_TRACE_SAMPLES
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        to_analog(wave, IDEAL_EDGES, 65)
 
 
 def test_filter_unity_dc_gain():

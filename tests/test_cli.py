@@ -284,12 +284,15 @@ _OUT_OF_RANGE = [
     ["gen", "--kind", "mpwm", "--n", "5", "--fclk=5e-324", "--duty", "3"],
     ["repro", "--figure", "settling", "--n-list", "5", "--sf-list", "5", "--ripple-target=inf"],
     ["settle", "--fc", "1MHz", "--band=5e-324", "--step=full_scale", "--n", "6"],
+    ["gen", "--kind", "pwm", "--n", "16", "--duty", "3", "--trace", "--oversample", "100000000"],
 ]
 
 
 # usage errors, once plain-text argparse messages
 _USAGE = [["bogus"], ["settle"], ["gen", "--kind", "mpwm", "--n=x", "--duty", "3"],
-          ["repro", "--figure", "inl_dnl", "--n=nan"]]
+          ["repro", "--figure", "inl_dnl", "--n=nan"],
+          # ramp times that metrics never read, no longer accepted
+          ["metrics", "--kind", "pwm", "--n", "4", "--trise", "1ns"]]
 
 
 @pytest.mark.parametrize("argv", _NON_FINITE + _WRONG_KIND + _OUT_OF_RANGE + _USAGE,
@@ -381,12 +384,12 @@ def _int(low, high):
 
 _SMALL_N = _int(2, 6)
 _FLOAT_OPTS = {"--fclk": _FREQ, "--fc": _FREQ, "--tdr": _TIME, "--tdf": _TIME,
-               "--trise": _TIME, "--tfall": _TIME, "--us": _PLAIN, "--supply-err": _PLAIN,
-               "--ripple-target": _PLAIN, "--band": _PLAIN}
+               "--us": _PLAIN, "--supply-err": _PLAIN, "--ripple-target": _PLAIN,
+               "--band": _PLAIN}
 _COMMANDS = {  # every option drawn for each command; n stays <= 6
     "gen": ["--fclk"], "spectrum": ["--fclk"], "cutoff": ["--fclk", "--ripple-target"],
-    "metrics": ["--fclk", "--tdr", "--tdf", "--trise", "--tfall", "--us", "--supply-err",
-                "--fc", "--ripple-target", "--band"],
+    "metrics": ["--fclk", "--tdr", "--tdf", "--us", "--supply-err", "--fc",
+                "--ripple-target", "--band"],
     "settle": ["--band"],
     "repro": ["--fclk", "--tdr", "--tdf", "--ripple-target", "--band"],
 }

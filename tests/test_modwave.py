@@ -141,7 +141,16 @@ def test_hr_fine_code_adds_one_sixteenth_clock():
 
 def test_hr_total_high_time_contract():
     cfg = ModulatorConfig.hr_mpwm(8, 2, fine_bits=4)
-    for coarse, fine in [(0, 0), (0, 5), (37, 9), (255, 15), (128, 1)]:
+    cases = [(cfg, coarse, fine) for coarse, fine in [(0, 0), (0, 5), (37, 9), (255, 15), (128, 1)]]
+    # every small config too: EdgeList refuses out-of-order times, so building
+    # each period also checks that the delayed falling edge keeps its place
+    for n in range(2, 7):
+        for sf in range(n):
+            for fine_bits in (1, 6):
+                small = ModulatorConfig.hr_mpwm(n, sf, fine_bits=fine_bits)
+                cases += [(small, coarse, fine) for coarse in range(small.steps)
+                          for fine in (1, (1 << fine_bits) - 1)]
+    for cfg, coarse, fine in cases:
         edges = hr_mpwm_wave(cfg, DutyCode(coarse, fine))
         expect = coarse / cfg.f_clk + fine * cfg.t_d
         assert edges.high_time() == pytest.approx(expect, rel=1e-12, abs=1e-18)
@@ -171,14 +180,6 @@ def test_hr_edge_list_stays_valid_when_wave_wraps():
 # -- exhaustive invariants --------------------------------------------------------
 
 
-def test_oracle_equivalence_exhaustive_to_n10():
-    for cfg in all_configs(10):
-        for duty in range(cfg.steps):
-            a = mpwm_wave(cfg, duty).bits
-            b = mpwm_wave_decoder(cfg, duty).bits
-            assert np.array_equal(a, b), (cfg.n, cfg.sf, duty)
-
-
 def test_duty_exactness_exhaustive_to_n10():
     for cfg in all_configs(10):
         for duty in range(cfg.steps):
@@ -187,12 +188,6 @@ def test_duty_exactness_exhaustive_to_n10():
         cfg = ModulatorConfig.fons(n)
         for duty in range(cfg.steps):
             assert fons_wave(cfg, duty).duty_count == duty
-
-
-def test_edge_law_exhaustive_to_n10():
-    for cfg in all_configs(10):
-        for duty in range(cfg.steps):
-            assert count_pulses(mpwm_wave(cfg, duty)) == edge_count_formula(cfg, duty)
 
 
 def test_sf0_single_cyclic_pulse():
@@ -324,3 +319,9 @@ def test_edge_list_wrapped_pulse_high_time():
     assert not edges.risings[0]
     assert edges.high_time() == pytest.approx(3 / 1e6, rel=1e-12)
     assert count_pulses(edges) == 1
+
+
+def test_edge_list_refuses_an_all_high_period():
+    # an empty EdgeList is constant-low, so an all-high period has no faithful form
+    with pytest.raises(ParameterError, match="all-high"):
+        EdgeList.from_bits(BitWaveform(np.ones(8, dtype=np.uint8), 1e6))

@@ -14,6 +14,7 @@ from mpwmdac import (
     ParameterError,
     dft_period,
     dominant_harmonics,
+    generate,
     mpwm_wave,
     superpose_coeffs,
     unit_signal_coeffs,
@@ -51,12 +52,16 @@ def test_unit_slots_sum_to_dc_only():
 
 def test_superpose_matches_dft_exhaustive_small_n():
     for n in (3, 4, 5, 6):
-        for sf in range(n):
-            cfg = ModulatorConfig.mpwm(n, sf)
+        for cfg in (ModulatorConfig.fons(n), *(ModulatorConfig.mpwm(n, sf) for sf in range(n))):
             for duty in range(cfg.steps):
                 analytic = superpose_coeffs(cfg, duty)
-                numeric = dft_period(mpwm_wave(cfg, duty))
+                numeric = dft_period(generate(cfg, duty))
                 assert np.max(np.abs(analytic.coeffs - numeric.coeffs)) <= 1e-12
+
+
+def test_superpose_refuses_the_edge_list_kind():
+    with pytest.raises(ParameterError, match="cycle-quantized"):
+        superpose_coeffs(ModulatorConfig.hr_mpwm(5, 1), 3)
 
 
 def test_superpose_matches_dft_sampled_n7_n8():
