@@ -122,6 +122,8 @@ def dnl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
 
 _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
 _F_CT_FLOOR = 1e-6  # the cutoff bracket tests no f_cT below this
+_SCREEN_REL = 0.01  # one sample per slot when the bound is at most this share of code 1's ripple
+_BLOCK_CELLS = 1 << 16  # running sums held at once by a ripple sweep
 
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
@@ -135,44 +137,105 @@ def _ripple_margin(cfg: ModulatorConfig) -> float:
     return cfg.steps**2 * (cfg.n + 4) * np.finfo(float).eps
 
 
-def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
-    """Harmonic-route ripple in LSB of codes 1..2**n-1 from one running sum.
+def _unit_response(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
+    """Filtered steady-state period of slot 0 alone, on 16 samples per slot."""
+    return _harmonic_period(np.eye(1, cfg.steps, dtype=np.uint8)[0], cfg, fm)
 
-    Code D is code D-1 plus the slot whose rearranged counter word is D-1,
-    so its filtered period is the previous one plus the unit-slot response
-    rolled by 16 grid samples per slot.
+
+def _running_ripples(order: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Ripple in LSB of codes 1..2**n-1 from one running sum of the unit response.
+
+    Code D is code D-1 plus slot order[D-1], so its filtered period is the
+    previous one plus the unit response rolled by that slot.  `samples`
+    holds the unit response on a whole number of samples per slot; the sum
+    at a slot's first sample takes the same additions in the same order
+    whatever that number is.  The sums of up to _BLOCK_CELLS // grid codes
+    are kept at a time and reduced together.
+    """
+    grid = samples.size
+    per_slot = grid // order.size
+    tiled = np.tile(samples, 2)  # tiled[grid - s : 2 * grid - s] is samples rolled by s
+    starts = (grid - per_slot * order[:-1]).tolist()
+    block = np.empty((max(1, _BLOCK_CELLS // grid), grid))
+    ripples = np.empty(len(starts))
+    y = np.zeros(grid)
+    for first in range(0, len(starts), len(block)):
+        sums = block[: len(starts) - first]
+        for row, start in zip(sums, starts[first : first + len(sums)]):
+            y = np.add(y, tiled[start : start + grid], out=row)
+        ripples[first : first + len(sums)] = sums.max(1) - sums.min(1)
+    return ripples * order.size
+
+
+def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
+    """Harmonic-route ripple in LSB of codes 1..2**n-1 on 16 samples per slot."""
+    return _running_ripples(_fill_order(cfg), _unit_response(cfg, fm))
+
+
+def _interpolation_bound(unit: np.ndarray) -> float:
+    """c in LSB: no code's 16-per-slot ripple exceeds its one-per-slot ripple by more.
+
+    e_j(m) is the gap between the unit response at sample 16m+j and the
+    straight line through its samples at 16m and 16m+16.  A code's period
+    minus the line through its slot-start samples is the sum of e_j(m - s)
+    over its high slots s, so it lies within [-sum_m max(-e_j, 0),
+    sum_m max(e_j, 0)]: the peak rises by at most the largest positive sum
+    and the trough falls by at most the largest negative one.
+    """
+    slots = unit.reshape(-1, 16)
+    ends = np.roll(slots[:, 0], -1)
+    j = np.arange(16) / 16
+    e = slots - (slots[:, :1] * (1 - j) + ends[:, None] * j)
+    return float(np.maximum(e, 0).sum(0).max() + np.maximum(-e, 0).sum(0).max()) * slots.shape[0]
+
+
+def _worst_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int, int]:
+    """`worst_steady_ripple` and the number of `steady_ripple` re-checks it ran.
+
+    The screen sweeps one sample per slot when the interpolation bound c
+    is at most _SCREEN_REL of code 1's one-per-slot ripple, and 16 per slot
+    (c = 0) otherwise.  The one-per-slot sums are a subset of the
+    16-per-slot sums, bit for bit, so r1 <= r16 holds in floating point,
+    and r16 <= r1 + c holds for the exact sums of the same samples.  Each
+    running sum is 2**n roundings of at most eps of full scale away from
+    its exact value, at most 4**n * eps LSB, so the computed r16 <= r1 + c
+    + 4 * 4**n * eps, and 4 * 4**n * eps is below one _ripple_margin.  Each
+    r16 lies within one margin of its `steady_ripple`.  A code with the
+    largest `steady_ripple` therefore has r1 >= max r1 - c - 3 margins, and
+    the screen re-checks every code within c + 4 margins of the largest r1:
+    the fourth covers the rounding of c itself.
     """
     order = _fill_order(cfg)
-    unit = _harmonic_period(np.eye(1, cfg.steps, dtype=np.uint8)[0], cfg, fm)
-    grid = unit.size
-    tiled = np.tile(unit, 2)  # tiled[grid - s : 2 * grid - s] is unit rolled by s
-    y = np.zeros(grid)
-    ripples = np.empty(cfg.steps - 1)
-    peak, trough = np.maximum.reduce, np.minimum.reduce  # y.max(), y.min() minus the wrapper
-    for d, slot in enumerate(order[:-1].tolist()):
-        y += tiled[grid - 16 * slot : 2 * grid - 16 * slot]
-        ripples[d] = peak(y) - trough(y)
-    return ripples * cfg.steps
+    unit = _unit_response(cfg, fm)
+    samples, c = unit[::16], _interpolation_bound(unit)
+    if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
+        samples, c = unit, 0.0
+    ripples = _running_ripples(order, samples)
+    near = np.nonzero(ripples >= ripples.max() - c - 4 * _ripple_margin(cfg))[0] + 1
+    exact = [steady_ripple(cfg, int(d), fm) for d in near]
+    best = int(np.argmax(exact))
+    return exact[best], int(near[best]), len(exact)
 
 
 def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int]:
     """Largest steady-state ripple over duty codes 1..2**n-1 and its code.
 
-    Every code whose summed ripple lies within the rounding margin of the
-    largest is re-evaluated with `steady_ripple`, so the result equals the
-    per-duty maximum exactly, the lowest code on a tie.  PWM, MPWM and PCM
-    only: FONS codes are not nested in the duty.
+    A running-sum sweep screens the codes (see `_worst_ripple`), and every
+    code it cannot rule out is re-evaluated with `steady_ripple`, so the
+    result equals the per-duty maximum exactly, the lowest code on a tie.
+    PWM, MPWM and PCM only: FONS codes are not nested in the duty.
     """
-    ripples = _summed_ripples(cfg, fm)
-    near = np.nonzero(ripples >= ripples.max() - _ripple_margin(cfg))[0] + 1
-    exact = [steady_ripple(cfg, int(d), fm) for d in near]
-    best = int(np.argmax(exact))
-    return exact[best], int(near[best])
+    ripple, duty, _ = _worst_ripple(cfg, fm)
+    return ripple, duty
 
 
 @dataclass(frozen=True)
 class CutoffResult:
-    """Outcome of the required-cutoff search."""
+    """Outcome of the required-cutoff search.
+
+    sweeps counts the full sweeps over every duty code, and ripple_checks
+    the `steady_ripple` calls: witness codes and screen re-checks.
+    """
 
     f_ct: float
     f_c_hz: float
@@ -180,6 +243,8 @@ class CutoffResult:
     worst_duty: int
     worst_ripple_lsb: float
     rule_of_thumb_f_ct: float | None
+    sweeps: int
+    ripple_checks: int
 
 
 def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
@@ -187,42 +252,58 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
 
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
     geometrically down to hi/lo <= 1 + _REL_TOL against the exact worst
-    steady ripple over all duty codes (`worst_steady_ripple`).  Bisection
-    assumes that ripple is non-decreasing in f_c*T.  It holds for every
-    PWM/MPWM/PCM config with n <= 8 on [1e-3, SN]; the first decrease
-    seen lies near 1.45 * SN (PWM), where the ripple exceeds full scale.
-    For PWM the rule-of-thumb closed form is reported alongside.
+    steady ripple over all duty codes (`worst_steady_ripple`).  Before each
+    full sweep the worst code of the previous one is evaluated alone: if
+    its ripple already exceeds the target, so does the maximum, and the
+    step moves hi (or lo while halving) without a sweep.  The reported
+    ripple and code always come from a full sweep.  Bisection assumes that
+    ripple is non-decreasing in f_c*T.  It holds for every PWM/MPWM/PCM
+    config with n <= 8 on [1e-3, SN]; the first decrease seen lies near
+    1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM the
+    rule-of-thumb closed form is reported alongside.
     """
     if not (math.isfinite(ripple_target) and ripple_target > 0):
         raise ParameterError(f"ripple_target must be finite and positive, got {ripple_target}")
     _require_mpwm_family(cfg)
 
     period = cfg.period
+    witness = None  # worst code of the last full sweep
+    sweeps = checks = 0
 
-    def worst_at(f_ct: float) -> tuple[float, int]:
-        return worst_steady_ripple(cfg, FilterModel(f_ct / period))
+    def within(f_ct: float) -> tuple[float, int] | None:
+        """(worst ripple, its code) at f_ct, or None when it exceeds the target."""
+        nonlocal witness, sweeps, checks
+        fm = FilterModel(f_ct / period)
+        if witness is not None:
+            checks += 1
+            if steady_ripple(cfg, witness, fm) > ripple_target:
+                return None
+        ripple, witness, rechecks = _worst_ripple(cfg, fm)
+        sweeps += 1
+        checks += rechecks
+        return (ripple, witness) if ripple <= ripple_target else None
 
     guess = float(cutoff_rule_of_thumb(cfg.n, ripple_target)) * max(1, cfg.sn)
     if guess < _F_CT_FLOOR:  # checked first: every code would be re-evaluated there
         raise ParameterError(f"f_cT guess {guess} lies below the search floor {_F_CT_FLOOR}")
     lo, hi = guess, guess
-    at_lo = worst_at(lo)
-    r_hi = at_lo[0]
+    at_lo = within(lo)
+    hi_within = at_lo is not None
     tested = [lo]
-    while at_lo[0] > ripple_target and lo / 2.0 >= _F_CT_FLOOR:
+    while at_lo is None and lo / 2.0 >= _F_CT_FLOOR:
         lo /= 2.0
         tested.append(lo)
-        at_lo = worst_at(lo)
-    while r_hi <= ripple_target and hi * 2.0 <= 16.0:
+        at_lo = within(lo)
+    while hi_within and hi * 2.0 <= 16.0:
         hi *= 2.0
         tested.append(hi)
-        r_hi, _ = worst_at(hi)
-    if at_lo[0] > ripple_target or r_hi <= ripple_target:
+        hi_within = within(hi) is not None
+    if at_lo is None or hi_within:
         raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
     while hi / lo > 1.0 + _REL_TOL:
         mid = np.sqrt(lo * hi)
-        at_mid = worst_at(mid)
-        if at_mid[0] > ripple_target:
+        at_mid = within(mid)
+        if at_mid is None:
             hi = mid
         else:
             lo, at_lo = mid, at_mid
@@ -235,6 +316,8 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         worst_duty=worst_duty,
         worst_ripple_lsb=worst_r,
         rule_of_thumb_f_ct=rule,
+        sweeps=sweeps,
+        ripple_checks=checks,
     )
 
 

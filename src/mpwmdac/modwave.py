@@ -57,6 +57,11 @@ class Kind(str, Enum):
     HRMPWM = "hrmpwm"
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ModulatorConfig:
     """Static configuration of one modulator instance.
@@ -79,8 +84,7 @@ class ModulatorConfig:
             raise ParameterError(
                 f"sf must be in [0, {self.n - 1}] for n={self.n}, got {self.sf}"
             )
-        if not (math.isfinite(self.f_clk) and self.f_clk > 0):
-            raise ParameterError(f"f_clk must be finite and positive, got {self.f_clk}")
+        _require_positive("f_clk", self.f_clk)
         if self.kind == Kind.PWM and self.sf != 0:
             raise ParameterError(f"PWM requires sf=0, got sf={self.sf}")
         if self.kind == Kind.PCM and self.sf != self.n - 1:
@@ -189,12 +193,14 @@ class BitWaveform:
     f_clk: float
 
     def __post_init__(self) -> None:
+        _require_positive("f_clk", self.f_clk)
         bits = np.asarray(self.bits, dtype=np.uint8)
         if bits.ndim != 1 or bits.size == 0:
             raise ParameterError("bits must be a non-empty 1-D sequence")
         if np.any(bits > 1):
             raise ParameterError("bits entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
+        _require_positive("period", self.period)  # bits.size / f_clk overflows for a tiny f_clk
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -223,6 +229,13 @@ class EdgeList:
     f_clk: float
 
     def __post_init__(self) -> None:
+        _require_positive("period", self.period)
+        _require_positive("f_clk", self.f_clk)
+        if not 1 <= self.period * self.f_clk < math.inf:
+            raise ParameterError(
+                "period must span a finite number of clock cycles, at least one; "
+                f"got period * f_clk = {self.period * self.f_clk}"
+            )
         times = np.asarray(self.times, dtype=float)
         risings = np.asarray(self.risings, dtype=bool)
         object.__setattr__(self, "times", times)

@@ -138,6 +138,8 @@ def test_cutoff_command_pwm(capsys):
     summary = json.loads(out)
     assert summary["f_ct"] == pytest.approx(summary["rule_of_thumb_f_ct"], rel=0.3)
     assert summary["worst_ripple_lsb"] <= 0.5
+    # the search counts are printed too; each sweep re-checks at least one code
+    assert 1 <= summary["sweeps"] <= summary["ripple_checks"]
 
 
 def test_repro_inl_dnl(tmp_path, capsys):

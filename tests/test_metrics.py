@@ -27,7 +27,17 @@ from mpwmdac import (
     steady_ripple,
     worst_steady_ripple,
 )
-from mpwmdac.metrics import _ripple_margin, _summed_ripples
+from mpwmdac.metrics import (
+    _F_CT_FLOOR,
+    _REL_TOL,
+    _SCREEN_REL,
+    _fill_order,
+    _interpolation_bound,
+    _ripple_margin,
+    _running_ripples,
+    _summed_ripples,
+    _unit_response,
+)
 
 EM_1NS = EdgeModel(t_dr=1e-9, t_df=0.0)
 
@@ -156,6 +166,76 @@ def test_worst_steady_ripple_equals_per_duty_loop(n):
 ], ids=["pwm", "mpwm_sf3"])
 def test_worst_steady_ripple_equals_per_duty_loop_n12(cfg, f_ct):
     _check_worst_against_per_duty(cfg, f_ct)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_sample_per_slot_bounds_the_summed_ripple(n):
+    # r1 <= r16 <= r1 + c at every code, c from the interpolation gaps alone
+    screens = set()
+    for cfg in ripple_configs(n):
+        for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn, 2.0 * cfg.sn):
+            fm = FilterModel(f_ct / cfg.period)
+            unit = _unit_response(cfg, fm)
+            r1 = _running_ripples(_fill_order(cfg), unit[::16])
+            r16 = _summed_ripples(cfg, fm)
+            c = _interpolation_bound(unit)
+            assert np.all(r1 <= r16), (cfg, f_ct)
+            assert np.all(r16 <= r1 + c + _ripple_margin(cfg)), (cfg, f_ct)
+            screens.add(bool(c <= _SCREEN_REL * r1[0]))
+    if n == 8:  # below n=8 the bound never qualifies for the screen at these f_cT
+        assert screens == {True, False}
+
+
+def _reference_cutoff(cfg, target):
+    """The cutoff search with the per-duty maximum at every step: no screen,
+    no witness.  Returns (f_ct, f_c_hz, worst duty, worst ripple, steps)."""
+    steps = 0
+
+    def worst_at(f_ct):
+        nonlocal steps
+        steps += 1
+        return _per_duty_worst(cfg, FilterModel(f_ct / cfg.period))[1]
+
+    lo = hi = float(cutoff_rule_of_thumb(cfg.n, target)) * max(1, cfg.sn)
+    at_lo = worst_at(lo)
+    r_hi = at_lo[0]
+    while at_lo[0] > target and lo / 2.0 >= _F_CT_FLOOR:
+        lo /= 2.0
+        at_lo = worst_at(lo)
+    while r_hi <= target and hi * 2.0 <= 16.0:
+        hi *= 2.0
+        r_hi, _ = worst_at(hi)
+    assert at_lo[0] <= target < r_hi
+    while hi / lo > 1.0 + _REL_TOL:
+        mid = np.sqrt(lo * hi)
+        at_mid = worst_at(mid)
+        if at_mid[0] > target:
+            hi = mid
+        else:
+            lo, at_lo = mid, at_mid
+    return float(lo), float(lo / cfg.period), at_lo[1], at_lo[0], steps
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_required_cutoff_equals_per_duty_search(n):
+    for cfg in ripple_configs(n):
+        for target in (0.25, 0.5, 1.0):
+            res = required_cutoff(cfg, target)
+            *want, steps = _reference_cutoff(cfg, target)
+            assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want
+            # a witness settles at least one step without a sweep; every step
+            # after the first checks one witness, and each sweep re-checks
+            assert 1 <= res.sweeps < steps
+            assert res.ripple_checks >= steps - 1 + res.sweeps
+
+
+@pytest.mark.parametrize("cfg", [ModulatorConfig.pwm(8), ModulatorConfig.mpwm(8, 3)],
+                         ids=["pwm", "mpwm_sf3"])
+def test_required_cutoff_equals_per_duty_search_n8(cfg):
+    # n=8 is where the one-per-slot screen starts to qualify
+    res = required_cutoff(cfg, 0.5)
+    assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
+        _reference_cutoff(cfg, 0.5)[:4])
 
 
 def test_worst_steady_ripple_rejects_fons():

@@ -1,5 +1,7 @@
 """Generator unit tests: frozen examples, exhaustive sweeps, properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,3 +327,31 @@ def test_edge_list_refuses_an_all_high_period():
     # an empty EdgeList is constant-low, so an all-high period has no faithful form
     with pytest.raises(ParameterError, match="all-high"):
         EdgeList.from_bits(BitWaveform(np.ones(8, dtype=np.uint8), 1e6))
+
+
+@pytest.mark.parametrize("period, f_clk, match", [
+    (math.inf, 1.0, "period must be finite and positive"),
+    (math.nan, 1.0, "period must be finite and positive"),
+    (-1.0, 1.0, "period must be finite and positive"),
+    (0.0, 1.0, "period must be finite and positive"),
+    (1.0, math.nan, "f_clk must be finite and positive"),
+    (1.0, math.inf, "f_clk must be finite and positive"),
+    (1.0, 0.0, "f_clk must be finite and positive"),
+    (1e300, 1e300, "finite number of clock cycles"),
+    (0.5, 1.0, "finite number of clock cycles"),
+])
+def test_edge_list_refuses_a_bad_period_or_clock(period, f_clk, match):
+    with pytest.raises(ParameterError, match=match):
+        EdgeList(np.array([]), np.array([], dtype=bool), period, f_clk)
+
+
+@pytest.mark.parametrize("f_clk, match", [
+    (math.nan, "f_clk must be finite"),
+    (math.inf, "f_clk must be finite"),
+    (-1e6, "f_clk must be finite"),
+    (0.0, "f_clk must be finite"),
+    (5e-324, "period must be finite"),  # 4 / f_clk overflows
+])
+def test_bit_waveform_refuses_a_bad_clock(f_clk, match):
+    with pytest.raises(ParameterError, match=match):
+        BitWaveform(np.array([1, 0, 0, 0], dtype=np.uint8), f_clk)
