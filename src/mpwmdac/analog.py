@@ -256,9 +256,10 @@ def _foh_states(a: np.ndarray, b: np.ndarray, dt: float, u: np.ndarray, x0) -> n
     interp=True)` with the same arithmetic, so the states match it bit for
     bit: e = expm(M.T) of the block matrix [[A dt, B dt, 0], [0, 0, 1],
     [0, 0, 0]], then x[i+1] = (x[i] @ Ad + u[i] Bd0) + u[i+1] Bd1 with Ad,
-    Bd1 and Bd0 read from e as lsim reads them.  `x @ ad` stays a numpy
-    matmul on lsim's strided view: its rounding is the BLAS kernel's, which
-    a scalar loop would not reproduce.
+    Bd1 and Bd0 read from e as lsim reads them.  Each step writes its
+    matmul on lsim's strided view `ad` straight into the next row of one
+    preallocated array: the rounding is still the numpy matmul kernel's,
+    which a scalar loop would not reproduce.
     """
     n = a.shape[0]
     m = np.zeros((n + 2, n + 2))
@@ -269,15 +270,14 @@ def _foh_states(a: np.ndarray, b: np.ndarray, dt: float, u: np.ndarray, x0) -> n
     ad = e[:n, :n]
     bd1 = e[n + 1, :n]
     bd0 = e[n, :n] - bd1
-    x = np.array(x0, dtype=float)
-    states = [x]
+    states = np.empty((u.size, n))
+    states[0] = x0
     # a one-term matmul u[i] @ Bd is the plain product, so q and r are exact
-    for q, r in zip(u[:-1, None] * bd0, u[1:, None] * bd1):
-        x = x @ ad
-        x += q
-        x += r
-        states.append(x)
-    return np.array(states)
+    for x, nxt, q, r in zip(states, states[1:], u[:-1, None] * bd0, u[1:, None] * bd1):
+        np.matmul(x, ad, out=nxt)
+        nxt += q
+        nxt += r
+    return states
 
 
 def filter_response(
@@ -309,21 +309,37 @@ def filter_response(
     return AnalogTrace(x @ c[0], trace.sample_rate, trace.period_s)
 
 
+def _harmonics(cfg: ModulatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonics k = 0..4 * 2**n of the harmonic route and their frequencies k/T."""
+    k = np.arange(4 * cfg.steps + 1)
+    return k, k * cfg.f_clk / cfg.steps
+
+
+def _filtered_period(held: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Steady-state period on 16 samples per slot from the held series a_k
+    and H(j 2 pi k / T), k = 0..4 * 2**n: the half that depends on f_c."""
+    grid = 4 * (held.size - 1)
+    spec = np.zeros(grid // 2 + 1, dtype=complex)
+    spec[: held.size] = held * h * grid
+    return np.fft.irfft(spec, n=grid)
+
+
+def _ripple_lsb(period: np.ndarray, cfg: ModulatorConfig) -> float:
+    """Peak-to-peak of a filtered period in LSB of full scale."""
+    return float(period.max() - period.min()) * cfg.steps
+
+
 def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
     """Filtered steady-state period of a bit pattern on 16 samples per slot.
 
     Sums the hold-corrected series coefficients a_k times H(j 2 pi k / T)
     for k = 0..4 * 2**n; harmonics beyond the bins repeat the DFT bin of
-    k mod 2**n under the hold envelope.
+    k mod 2**n under the hold envelope.  The series `_held_coeffs` is free
+    of f_c, so a caller that filters one pattern at many cutoffs can keep
+    it and call `_filtered_period` alone.
     """
-    size = cfg.steps
-    k_max = 4 * size
-    grid = 16 * size
-    k = np.arange(k_max + 1)
-    h = fm.freq_response(k * cfg.f_clk / size)  # harmonic k sits at k/T
-    spec = np.zeros(grid // 2 + 1, dtype=complex)
-    spec[: k_max + 1] = _held_coeffs(bits, k) * h * grid
-    return np.fft.irfft(spec, n=grid)
+    k, f_k = _harmonics(cfg)
+    return _filtered_period(_held_coeffs(bits, k), fm.freq_response(f_k))
 
 
 def steady_ripple(
@@ -345,12 +361,10 @@ def steady_ripple(
         raise ParameterError("steady_ripple expects a cycle-quantized modulator kind")
     if method == "time":
         trace = to_analog(wave, IDEAL_EDGES, oversample)
-        out = filter_response(trace, fm, steady_state=True)
-        return float(out.samples.max() - out.samples.min()) * cfg.steps
+        return _ripple_lsb(filter_response(trace, fm, steady_state=True).samples, cfg)
     if method != "harmonic":
         raise ParameterError(f"method must be 'harmonic' or 'time', got {method!r}")
-    y = _harmonic_period(wave.bits, cfg, fm)
-    return float(y.max() - y.min()) * cfg.steps
+    return _ripple_lsb(_harmonic_period(wave.bits, cfg, fm), cfg)
 
 
 def settling_time(

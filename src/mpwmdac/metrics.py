@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time, steady_ripple
-from .analog import _harmonic_period
+from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time
+from .analog import _filtered_period, _harmonic_period, _harmonics, _ripple_lsb
 from .errors import ParameterError
 from .modwave import (
     DutyCode,
@@ -26,6 +26,7 @@ from .modwave import (
     count_pulses,
     generate,
 )
+from .spectral import _dft_bins, _hold_envelope
 
 __all__ = [
     "static_error",
@@ -124,6 +125,7 @@ _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
 _F_CT_FLOOR = 1e-6  # the cutoff bracket tests no f_cT below this
 _SCREEN_REL = 0.01  # one sample per slot when the bound is at most this share of code 1's ripple
 _BLOCK_CELLS = 1 << 16  # running sums held at once by a ripple sweep
+_CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex terms
 
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
@@ -189,8 +191,60 @@ def _interpolation_bound(unit: np.ndarray) -> float:
     return float(np.maximum(e, 0).sum(0).max() + np.maximum(-e, 0).sum(0).max()) * slots.shape[0]
 
 
-def _worst_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int, int]:
-    """`worst_steady_ripple` and the number of `steady_ripple` re-checks it ran.
+class _Spectra:
+    """The f_c-free half of the harmonic ripple route, kept for one cutoff search.
+
+    Built once: the fill order, the harmonics k = 0..4 * 2**n with their
+    frequencies and hold envelope, and slot 0's held series.  Each code
+    evaluated keeps its 2**n DFT bins, up to _CACHE_TERMS bins in all; a
+    code past the cap is transformed again at each use.  `tune(fm)` moves
+    to a new cutoff: H is computed there once and shared by the unit
+    response and every code, and a code asked for twice at one cutoff is
+    filtered once.  Code D's bits are the first D slots of the fill order,
+    which are the comparator's, and every product rounds in the same order
+    as in `steady_ripple`, so each ripple equals it bit for bit.
+    """
+
+    def __init__(self, cfg: ModulatorConfig) -> None:
+        self.cfg = cfg
+        self.order = _fill_order(cfg)
+        k, self.f_k = _harmonics(cfg)
+        self.towers = k % cfg.steps
+        self.envelope = _hold_envelope(k, cfg.steps)
+        self.unit = self._held(_dft_bins(np.eye(1, cfg.steps, dtype=np.uint8)[0]))
+        self.bins: dict[int, np.ndarray] = {}
+        self.h = np.ones(0)
+        self.ripples: dict[int, float] = {}
+
+    def _held(self, bins: np.ndarray) -> np.ndarray:
+        """`_held_coeffs` of the pattern with DFT bins `bins`."""
+        return bins[self.towers] * self.envelope
+
+    def tune(self, fm: FilterModel) -> None:
+        self.h = fm.freq_response(self.f_k)
+        self.ripples = {}
+
+    def unit_response(self) -> np.ndarray:
+        """`_unit_response` at the tuned cutoff."""
+        return _filtered_period(self.unit, self.h)
+
+    def ripple(self, code: int) -> float:
+        """`steady_ripple` of duty code `code` at the tuned cutoff."""
+        if code not in self.ripples:
+            bins = self.bins.get(code)
+            if bins is None:
+                bits = np.zeros(self.cfg.steps, dtype=np.uint8)
+                bits[self.order[:code]] = 1
+                bins = _dft_bins(bits)
+                if (len(self.bins) + 1) * bins.size <= _CACHE_TERMS:
+                    self.bins[code] = bins
+            period = _filtered_period(self._held(bins), self.h)
+            self.ripples[code] = _ripple_lsb(period, self.cfg)
+        return self.ripples[code]
+
+
+def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
+    """`worst_steady_ripple` at the tuned cutoff and the number of re-checks it ran.
 
     The screen sweeps one sample per slot when the interpolation bound c
     is at most _SCREEN_REL of code 1's one-per-slot ripple, and 16 per slot
@@ -205,14 +259,14 @@ def _worst_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int, in
     the screen re-checks every code within c + 4 margins of the largest r1:
     the fourth covers the rounding of c itself.
     """
-    order = _fill_order(cfg)
-    unit = _unit_response(cfg, fm)
+    cfg = spectra.cfg
+    unit = spectra.unit_response()
     samples, c = unit[::16], _interpolation_bound(unit)
     if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
         samples, c = unit, 0.0
-    ripples = _running_ripples(order, samples)
+    ripples = _running_ripples(spectra.order, samples)
     near = np.nonzero(ripples >= ripples.max() - c - 4 * _ripple_margin(cfg))[0] + 1
-    exact = [steady_ripple(cfg, int(d), fm) for d in near]
+    exact = [spectra.ripple(int(d)) for d in near]
     best = int(np.argmax(exact))
     return exact[best], int(near[best]), len(exact)
 
@@ -221,11 +275,14 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
     """Largest steady-state ripple over duty codes 1..2**n-1 and its code.
 
     A running-sum sweep screens the codes (see `_worst_ripple`), and every
-    code it cannot rule out is re-evaluated with `steady_ripple`, so the
-    result equals the per-duty maximum exactly, the lowest code on a tie.
-    PWM, MPWM and PCM only: FONS codes are not nested in the duty.
+    code it cannot rule out is re-evaluated on the harmonic route of
+    `steady_ripple`, so the result equals the per-duty maximum exactly, the
+    lowest code on a tie.  PWM, MPWM and PCM only: FONS codes are not
+    nested in the duty.
     """
-    ripple, duty, _ = _worst_ripple(cfg, fm)
+    spectra = _Spectra(cfg)
+    spectra.tune(fm)
+    ripple, duty, _ = _worst_ripple(spectra)
     return ripple, duty
 
 
@@ -234,7 +291,8 @@ class CutoffResult:
     """Outcome of the required-cutoff search.
 
     sweeps counts the full sweeps over every duty code, and ripple_checks
-    the `steady_ripple` calls: witness codes and screen re-checks.
+    the harmonic-route ripple evaluations of witness codes and screen
+    re-checks, whether their spectra were cached or not.
     """
 
     f_ct: float
@@ -267,18 +325,19 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     _require_mpwm_family(cfg)
 
     period = cfg.period
+    spectra = _Spectra(cfg)
     witness = None  # worst code of the last full sweep
     sweeps = checks = 0
 
     def within(f_ct: float) -> tuple[float, int] | None:
         """(worst ripple, its code) at f_ct, or None when it exceeds the target."""
         nonlocal witness, sweeps, checks
-        fm = FilterModel(f_ct / period)
+        spectra.tune(FilterModel(f_ct / period))
         if witness is not None:
             checks += 1
-            if steady_ripple(cfg, witness, fm) > ripple_target:
+            if spectra.ripple(witness) > ripple_target:
                 return None
-        ripple, witness, rechecks = _worst_ripple(cfg, fm)
+        ripple, witness, rechecks = _worst_ripple(spectra)
         sweeps += 1
         checks += rechecks
         return (ripple, witness) if ripple <= ripple_target else None

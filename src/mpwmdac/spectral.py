@@ -168,16 +168,24 @@ def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Sp
     return Spectrum(coeffs, cfg.f_clk / cfg.steps, cfg.steps)
 
 
+def _dft_bins(bits: np.ndarray) -> np.ndarray:
+    """DFT bins X_0..X_(N-1) of the N-sample period, scaled by 1/N."""
+    return np.fft.fft(bits.astype(float)) / bits.size
+
+
+def _hold_envelope(k: np.ndarray, size: int) -> np.ndarray:
+    """Zero-order-hold factor exp(-j pi k/N) * sinc(k/N) of harmonic k."""
+    return np.exp(-1j * np.pi * k / size) * np.sinc(k / size)
+
+
 def _held_coeffs(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Series coefficients a_k of the held (staircase) waveform of one period.
 
     DFT bin X_(k mod N) of the N-sample period, times the zero-order-hold
-    factor exp(-j pi k/N) * sinc(k/N), is the coefficient a_k of the held
-    continuous waveform, for any harmonic k.
+    factor, is the coefficient a_k of the held continuous waveform, for any
+    harmonic k.
     """
-    size = bits.size
-    bins = np.fft.fft(bits.astype(float)) / size
-    return bins[k % size] * (np.exp(-1j * np.pi * k / size) * np.sinc(k / size))
+    return _dft_bins(bits)[k % bits.size] * _hold_envelope(k, bits.size)
 
 
 def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:

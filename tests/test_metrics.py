@@ -1,6 +1,7 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
 import inspect
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from mpwmdac import (
     steady_ripple,
     worst_steady_ripple,
 )
+from mpwmdac import metrics
 from mpwmdac.metrics import (
     _F_CT_FLOOR,
     _REL_TOL,
     _SCREEN_REL,
+    _Spectra,
     _fill_order,
     _interpolation_bound,
     _ripple_margin,
@@ -229,13 +232,47 @@ def test_required_cutoff_equals_per_duty_search(n):
             assert res.ripple_checks >= steps - 1 + res.sweeps
 
 
-@pytest.mark.parametrize("cfg", [ModulatorConfig.pwm(8), ModulatorConfig.mpwm(8, 3)],
-                         ids=["pwm", "mpwm_sf3"])
+@pytest.mark.parametrize("cfg", [
+    ModulatorConfig.pwm(8),
+    ModulatorConfig.mpwm(8, 3),
+    ModulatorConfig.mpwm(8, 4),
+    ModulatorConfig.pcm(7),
+], ids=["pwm", "mpwm_sf3", "mpwm_sf4", "pcm_n7"])
 def test_required_cutoff_equals_per_duty_search_n8(cfg):
-    # n=8 is where the one-per-slot screen starts to qualify
+    # n=8 is where the one-per-slot screen starts to qualify; pcm n=7 and
+    # mpwm sf=4 re-check the most distinct codes per search
     res = required_cutoff(cfg, 0.5)
     assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
         _reference_cutoff(cfg, 0.5)[:4])
+
+
+def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
+    # first cutoff: the first ten codes keep their bins and the rest are
+    # transformed again at each use; a second request at one cutoff reads
+    # the remembered ripple
+    monkeypatch.setattr(metrics, "_CACHE_TERMS", 10 * 64)
+    for cfg in ripple_configs(6):
+        spectra = _Spectra(cfg)
+        for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
+            fm = FilterModel(f_ct / cfg.period)
+            spectra.tune(fm)
+            assert np.array_equal(spectra.unit_response(), _unit_response(cfg, fm))
+            for d in range(cfg.steps):
+                want = steady_ripple(cfg, d, fm)
+                assert spectra.ripple(d) == want, (cfg, f_ct, d)
+                assert spectra.ripple(d) == want, (cfg, f_ct, d)
+        assert sorted(spectra.bins) == list(range(10)), cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    ModulatorConfig.pwm(8),
+    ModulatorConfig.mpwm(8, 4),
+    ModulatorConfig.pcm(7),
+], ids=["pwm", "mpwm_sf4", "pcm_n7"])
+def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
+    cached = [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)]
+    monkeypatch.setattr(metrics, "_CACHE_TERMS", 0)
+    assert [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)] == cached
 
 
 def test_worst_steady_ripple_rejects_fons():
