@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_positive
 from .modwave import (
     BitWaveform,
     DutyCode,
@@ -26,7 +26,7 @@ from .modwave import (
     count_pulses,
     generate,
 )
-from .spectral import _held_coeffs
+from .spectral import _dft_bins, _hold_envelope
 
 __all__ = [
     "EdgeModel",
@@ -105,8 +105,7 @@ class FilterModel:
     f_c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_c) and self.f_c > 0):
-            raise ParameterError(f"f_c must be finite and positive, got {self.f_c}")
+        _require_positive("f_c", self.f_c)
 
     @property
     def omega_c(self) -> float:
@@ -134,14 +133,25 @@ class FilterModel:
 @dataclass(frozen=True, eq=False)
 class AnalogTrace:
     """Uniformly sampled voltage trace; samples are the vertices of a
-    piecewise-linear signal."""
+    piecewise-linear signal.  The samples are finite, the rate finite and
+    positive, and the period, when known, finite and positive."""
 
     samples: np.ndarray
     sample_rate: float
     period_s: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1 or not samples.size:
+            raise ParameterError(
+                f"a trace needs a 1-D array of at least one sample, got shape {samples.shape}"
+            )
+        if not np.isfinite(samples).all():
+            raise ParameterError("trace samples must be finite")
+        _require_positive("sample_rate", self.sample_rate)
+        if self.period_s is not None:
+            _require_positive("period_s", self.period_s)
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -295,8 +305,6 @@ def filter_response(
     """
     a, b, c = fm.state_space()
     u = trace.samples
-    if not u.size:
-        raise ParameterError("filter_response needs a trace with at least one sample")
     dt = 1.0 / trace.sample_rate
     if steady_state:
         u_closed = np.concatenate([u, u[:1]])
@@ -309,37 +317,45 @@ def filter_response(
     return AnalogTrace(x @ c[0], trace.sample_rate, trace.period_s)
 
 
-def _harmonics(cfg: ModulatorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonics k = 0..4 * 2**n of the harmonic route and their frequencies k/T."""
-    k = np.arange(4 * cfg.steps + 1)
-    return k, k * cfg.f_clk / cfg.steps
+_SAMPLES_PER_SLOT = 16  # the harmonic route reads each filtered period on this grid
 
 
-def _filtered_period(held: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Steady-state period on 16 samples per slot from the held series a_k
-    and H(j 2 pi k / T), k = 0..4 * 2**n: the half that depends on f_c."""
-    grid = 4 * (held.size - 1)
-    spec = np.zeros(grid // 2 + 1, dtype=complex)
-    spec[: held.size] = held * h * grid
-    return np.fft.irfft(spec, n=grid)
+class _HarmonicRoute:
+    """The harmonic ripple route of one config, split where f_c enters.
+
+    The held series a_k of a pattern, k = 0..4 * 2**n, is its DFT bin
+    k mod 2**n under the zero-order-hold envelope (`held`); it is free of
+    f_c, so a caller that filters one pattern at many cutoffs can keep it.
+    `tune(fm)` computes H(j 2 pi k / T) once per cutoff, and `period` sums
+    a_k H into the steady-state period on _SAMPLES_PER_SLOT samples per slot.
+    """
+
+    def __init__(self, cfg: ModulatorConfig) -> None:
+        self.cfg = cfg
+        k = np.arange(4 * cfg.steps + 1)
+        self.f_k = k * cfg.f_clk / cfg.steps
+        self.towers = k % cfg.steps
+        self.envelope = _hold_envelope(k, cfg.steps)
+        self.h = np.ones(0)
+
+    def tune(self, fm: FilterModel) -> None:
+        self.h = fm.freq_response(self.f_k)
+
+    def held(self, bins: np.ndarray) -> np.ndarray:
+        """Held series of the pattern whose DFT bins are `bins`."""
+        return bins[self.towers] * self.envelope
+
+    def period(self, held: np.ndarray) -> np.ndarray:
+        """Filtered steady-state period of a held series at the tuned cutoff."""
+        grid = _SAMPLES_PER_SLOT * self.cfg.steps
+        spec = np.zeros(grid // 2 + 1, dtype=complex)
+        spec[: held.size] = held * self.h * grid
+        return np.fft.irfft(spec, n=grid)
 
 
 def _ripple_lsb(period: np.ndarray, cfg: ModulatorConfig) -> float:
     """Peak-to-peak of a filtered period in LSB of full scale."""
     return float(period.max() - period.min()) * cfg.steps
-
-
-def _harmonic_period(bits: np.ndarray, cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
-    """Filtered steady-state period of a bit pattern on 16 samples per slot.
-
-    Sums the hold-corrected series coefficients a_k times H(j 2 pi k / T)
-    for k = 0..4 * 2**n; harmonics beyond the bins repeat the DFT bin of
-    k mod 2**n under the hold envelope.  The series `_held_coeffs` is free
-    of f_c, so a caller that filters one pattern at many cutoffs can keep
-    it and call `_filtered_period` alone.
-    """
-    k, f_k = _harmonics(cfg)
-    return _filtered_period(_held_coeffs(bits, k), fm.freq_response(f_k))
 
 
 def steady_ripple(
@@ -352,9 +368,10 @@ def steady_ripple(
     """Steady-state peak-to-peak output deviation in LSB (ideal edges).
 
     harmonic: sums a_k * H(j 2 pi k / T) over enough harmonic towers and
-    reads the peak-to-peak off a dense grid (primary path).  time: renders
-    the period, filters it at its exact periodic steady state and measures
-    the swing (cross-check path); the two agree within 1%.
+    reads the peak-to-peak off a dense grid (`_HarmonicRoute`, primary
+    path).  time: renders the period, filters it at its exact periodic
+    steady state and measures the swing (cross-check path); the two agree
+    within 1%.
     """
     wave = generate(cfg, duty)
     if isinstance(wave, EdgeList):
@@ -364,7 +381,9 @@ def steady_ripple(
         return _ripple_lsb(filter_response(trace, fm, steady_state=True).samples, cfg)
     if method != "harmonic":
         raise ParameterError(f"method must be 'harmonic' or 'time', got {method!r}")
-    return _ripple_lsb(_harmonic_period(wave.bits, cfg, fm), cfg)
+    route = _HarmonicRoute(cfg)
+    route.tune(fm)
+    return _ripple_lsb(route.period(route.held(_dft_bins(wave.bits))), cfg)
 
 
 def settling_time(
@@ -381,8 +400,7 @@ def settling_time(
     envelope, found by bisection on its one-crossing bracket; it scales
     exactly as 1/f_c.
     """
-    if not (math.isfinite(band_lsb) and band_lsb > 0):
-        raise ParameterError(f"band_lsb must be finite and positive, got {band_lsb}")
+    _require_positive("band_lsb", band_lsb)
     if not 2 <= n_bits <= 16:
         raise ParameterError(f"n_bits must be in [2, 16], got {n_bits}")
     if step == "one_lsb":

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time
-from .analog import _filtered_period, _harmonic_period, _harmonics, _ripple_lsb
-from .errors import ParameterError
+from .analog import _SAMPLES_PER_SLOT, _HarmonicRoute, _ripple_lsb
+from .errors import ParameterError, _require_positive
 from .modwave import (
     DutyCode,
     Kind,
@@ -26,7 +26,7 @@ from .modwave import (
     count_pulses,
     generate,
 )
-from .spectral import _dft_bins, _hold_envelope
+from .spectral import _dft_bins
 
 __all__ = [
     "static_error",
@@ -130,18 +130,16 @@ _CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex term
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
     """Classic PWM design rule f_c*T = 0.81 * sqrt(ripple / 2**n)."""
+    if not 2 <= n <= 16:
+        raise ParameterError(f"n must be in [2, 16], got {n}")
+    _require_positive("ripple_lsb", ripple_lsb)
     return 0.81 * np.sqrt(ripple_lsb / (1 << n))
 
 
 def _ripple_margin(cfg: ModulatorConfig) -> float:
     """LSB bound on |summed - per-duty ripple|: 2**n terms, each off by about
-    log2(16 * 2**n) * eps of full scale (2**n LSB) from FFT and add rounding."""
-    return cfg.steps**2 * (cfg.n + 4) * np.finfo(float).eps
-
-
-def _unit_response(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
-    """Filtered steady-state period of slot 0 alone, on 16 samples per slot."""
-    return _harmonic_period(np.eye(1, cfg.steps, dtype=np.uint8)[0], cfg, fm)
+    log2(grid) * eps of full scale (2**n LSB) from FFT and add rounding."""
+    return cfg.steps**2 * math.log2(_SAMPLES_PER_SLOT * cfg.steps) * np.finfo(float).eps
 
 
 def _running_ripples(order: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -169,77 +167,63 @@ def _running_ripples(order: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return ripples * order.size
 
 
-def _summed_ripples(cfg: ModulatorConfig, fm: FilterModel) -> np.ndarray:
-    """Harmonic-route ripple in LSB of codes 1..2**n-1 on 16 samples per slot."""
-    return _running_ripples(_fill_order(cfg), _unit_response(cfg, fm))
-
-
 def _interpolation_bound(unit: np.ndarray) -> float:
-    """c in LSB: no code's 16-per-slot ripple exceeds its one-per-slot ripple by more.
+    """c in LSB: no code's full-grid ripple exceeds its one-per-slot ripple by more.
 
-    e_j(m) is the gap between the unit response at sample 16m+j and the
-    straight line through its samples at 16m and 16m+16.  A code's period
-    minus the line through its slot-start samples is the sum of e_j(m - s)
-    over its high slots s, so it lies within [-sum_m max(-e_j, 0),
-    sum_m max(e_j, 0)]: the peak rises by at most the largest positive sum
-    and the trough falls by at most the largest negative one.
+    e_j(m) is the gap between the unit response at sample j of slot m and
+    the straight line through the first samples of slots m and m + 1.  A
+    code's period minus the line through its slot-start samples is the sum
+    of e_j(m - s) over its high slots s, so it lies within [-sum_m
+    max(-e_j, 0), sum_m max(e_j, 0)]: the peak rises by at most the largest
+    positive sum and the trough falls by at most the largest negative one.
     """
-    slots = unit.reshape(-1, 16)
+    slots = unit.reshape(-1, _SAMPLES_PER_SLOT)
     ends = np.roll(slots[:, 0], -1)
-    j = np.arange(16) / 16
+    j = np.arange(_SAMPLES_PER_SLOT) / _SAMPLES_PER_SLOT
     e = slots - (slots[:, :1] * (1 - j) + ends[:, None] * j)
     return float(np.maximum(e, 0).sum(0).max() + np.maximum(-e, 0).sum(0).max()) * slots.shape[0]
 
 
-class _Spectra:
-    """The f_c-free half of the harmonic ripple route, kept for one cutoff search.
+class _Spectra(_HarmonicRoute):
+    """The harmonic ripple route of one config, kept for one cutoff search.
 
-    Built once: the fill order, the harmonics k = 0..4 * 2**n with their
-    frequencies and hold envelope, and slot 0's held series.  Each code
-    evaluated keeps its 2**n DFT bins, up to _CACHE_TERMS bins in all; a
-    code past the cap is transformed again at each use.  `tune(fm)` moves
-    to a new cutoff: H is computed there once and shared by the unit
-    response and every code, and a code asked for twice at one cutoff is
+    Adds the fill order to the route.  Each code evaluated keeps its 2**n
+    DFT bins, up to _CACHE_TERMS bins in all; a code past the cap is
+    transformed again at each use.  A code asked for twice at one cutoff is
     filtered once.  Code D's bits are the first D slots of the fill order,
-    which are the comparator's, and every product rounds in the same order
-    as in `steady_ripple`, so each ripple equals it bit for bit.
+    which are the comparator's, and the route is the one `steady_ripple`
+    runs, so each ripple equals it bit for bit.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
-        self.cfg = cfg
+        super().__init__(cfg)
         self.order = _fill_order(cfg)
-        k, self.f_k = _harmonics(cfg)
-        self.towers = k % cfg.steps
-        self.envelope = _hold_envelope(k, cfg.steps)
-        self.unit = self._held(_dft_bins(np.eye(1, cfg.steps, dtype=np.uint8)[0]))
         self.bins: dict[int, np.ndarray] = {}
-        self.h = np.ones(0)
         self.ripples: dict[int, float] = {}
 
-    def _held(self, bins: np.ndarray) -> np.ndarray:
-        """`_held_coeffs` of the pattern with DFT bins `bins`."""
-        return bins[self.towers] * self.envelope
-
     def tune(self, fm: FilterModel) -> None:
-        self.h = fm.freq_response(self.f_k)
+        super().tune(fm)
         self.ripples = {}
 
+    def _period_of(self, code: int) -> np.ndarray:
+        """Filtered period of duty code `code` at the tuned cutoff."""
+        bins = self.bins.get(code)
+        if bins is None:
+            bits = np.zeros(self.cfg.steps, dtype=np.uint8)
+            bits[self.order[:code]] = 1
+            bins = _dft_bins(bits)
+            if (len(self.bins) + 1) * bins.size <= _CACHE_TERMS:
+                self.bins[code] = bins
+        return self.period(self.held(bins))
+
     def unit_response(self) -> np.ndarray:
-        """`_unit_response` at the tuned cutoff."""
-        return _filtered_period(self.unit, self.h)
+        """Filtered period of slot 0 alone: code 1, since C_R[0] = 0."""
+        return self._period_of(1)
 
     def ripple(self, code: int) -> float:
         """`steady_ripple` of duty code `code` at the tuned cutoff."""
         if code not in self.ripples:
-            bins = self.bins.get(code)
-            if bins is None:
-                bits = np.zeros(self.cfg.steps, dtype=np.uint8)
-                bits[self.order[:code]] = 1
-                bins = _dft_bins(bits)
-                if (len(self.bins) + 1) * bins.size <= _CACHE_TERMS:
-                    self.bins[code] = bins
-            period = _filtered_period(self._held(bins), self.h)
-            self.ripples[code] = _ripple_lsb(period, self.cfg)
+            self.ripples[code] = _ripple_lsb(self._period_of(code), self.cfg)
         return self.ripples[code]
 
 
@@ -247,9 +231,9 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
     """`worst_steady_ripple` at the tuned cutoff and the number of re-checks it ran.
 
     The screen sweeps one sample per slot when the interpolation bound c
-    is at most _SCREEN_REL of code 1's one-per-slot ripple, and 16 per slot
-    (c = 0) otherwise.  The one-per-slot sums are a subset of the
-    16-per-slot sums, bit for bit, so r1 <= r16 holds in floating point,
+    is at most _SCREEN_REL of code 1's one-per-slot ripple, and the full
+    grid (c = 0) otherwise.  The one-per-slot sums are a subset of the
+    full-grid sums, bit for bit, so r1 <= r16 holds in floating point,
     and r16 <= r1 + c holds for the exact sums of the same samples.  Each
     running sum is 2**n roundings of at most eps of full scale away from
     its exact value, at most 4**n * eps LSB, so the computed r16 <= r1 + c
@@ -261,7 +245,7 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
     """
     cfg = spectra.cfg
     unit = spectra.unit_response()
-    samples, c = unit[::16], _interpolation_bound(unit)
+    samples, c = unit[::_SAMPLES_PER_SLOT], _interpolation_bound(unit)
     if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
         samples, c = unit, 0.0
     ripples = _running_ripples(spectra.order, samples)
@@ -315,13 +299,13 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     its ripple already exceeds the target, so does the maximum, and the
     step moves hi (or lo while halving) without a sweep.  The reported
     ripple and code always come from a full sweep.  Bisection assumes that
-    ripple is non-decreasing in f_c*T.  It holds for every PWM/MPWM/PCM
-    config with n <= 8 on [1e-3, SN]; the first decrease seen lies near
-    1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM the
-    rule-of-thumb closed form is reported alongside.
+    ripple is non-decreasing in f_c*T.  It holds on [1e-3, SN] for every
+    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
+    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
+    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For
+    PWM the rule-of-thumb closed form is reported alongside.
     """
-    if not (math.isfinite(ripple_target) and ripple_target > 0):
-        raise ParameterError(f"ripple_target must be finite and positive, got {ripple_target}")
+    _require_positive("ripple_target", ripple_target)
     _require_mpwm_family(cfg)
 
     period = cfg.period

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_positive
 
 __all__ = [
     "Kind",
@@ -55,11 +55,6 @@ class Kind(str, Enum):
     FONS = "fons"
     MPWM = "mpwm"
     HRMPWM = "hrmpwm"
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ _CTRL_SF_MASK = 0xF0
 
 LOCK_LATENCY_CYCLES = 1024
 FINE_BITS = 4
+_MAX_SCRIPT_CYCLES = 1 << 22  # cycles one script may step: the bound of an analog trace
 
 
 class FaultCode(str, Enum):
@@ -220,12 +221,14 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
 
     Lines are `write <addr> <value>`, `read <addr>` or `step <cycles>`;
     blank lines and `#` comments are skipped.  Numbers accept 0x prefixes.
-    Syntax errors raise ParameterError naming the line; peripheral faults
+    Syntax errors, and a step that takes the script past _MAX_SCRIPT_CYCLES
+    cycles in all, raise ParameterError naming the line; peripheral faults
     propagate as PeripheralFault.
     """
     periph = periph or MpwmPeripheral()
     chunks: list[np.ndarray] = []
     reads: list[tuple[int, int]] = []
+    stepped = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -239,7 +242,10 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
                 addr = int(fields[1], 0)
                 reads.append((addr, periph.reg_read(addr)))
             elif op == "step" and len(fields) == 2:
-                chunks.append(periph.step(int(fields[1], 0)))
+                cycles = int(fields[1], 0)
+                stepped += cycles
+                if stepped <= _MAX_SCRIPT_CYCLES:
+                    chunks.append(periph.step(cycles))
             else:
                 raise ValueError
         except PeripheralFault as fault:
@@ -250,6 +256,10 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
             raise ParameterError(
                 f"script syntax error at line {lineno}: {raw!r}"
             ) from None
+        if stepped > _MAX_SCRIPT_CYCLES:
+            raise ParameterError(
+                f"line {lineno}: the script steps more than {_MAX_SCRIPT_CYCLES} cycles"
+            )
     bits = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
     return ScriptResult(bits=bits, reads=reads, final_registers=periph.registers())
 

@@ -174,26 +174,17 @@ def _dft_bins(bits: np.ndarray) -> np.ndarray:
 
 
 def _hold_envelope(k: np.ndarray, size: int) -> np.ndarray:
-    """Zero-order-hold factor exp(-j pi k/N) * sinc(k/N) of harmonic k."""
+    """Zero-order-hold factor exp(-j pi k/N) * sinc(k/N): the series coefficient
+    a_k of a held N-slot period is its DFT bin X_(k mod N) times it, for any k."""
     return np.exp(-1j * np.pi * k / size) * np.sinc(k / size)
-
-
-def _held_coeffs(bits: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Series coefficients a_k of the held (staircase) waveform of one period.
-
-    DFT bin X_(k mod N) of the N-sample period, times the zero-order-hold
-    factor, is the coefficient a_k of the held continuous waveform, for any
-    harmonic k.
-    """
-    return _dft_bins(bits)[k % bits.size] * _hold_envelope(k, bits.size)
 
 
 def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
     """Numeric spectrum of one period via FFT plus hold correction.
 
-    The DFT bin X_k describes the sample train; `_held_coeffs` converts it
-    to the series coefficient of the held (zero-order) continuous waveform,
-    so analytic and numeric spectra agree to machine precision.
+    The DFT bin X_k describes the sample train; the zero-order-hold factor
+    converts it to the series coefficient a_k of the held continuous
+    waveform, so analytic and numeric spectra agree to machine precision.
     """
     size = len(wave)
     if size & (size - 1):
@@ -205,7 +196,8 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
         raise ParameterError(
             f"dft_period resolves k <= {half} for {size} samples, got k_max={k_max}"
         )
-    return Spectrum(_held_coeffs(wave.bits, np.arange(k_max + 1)), wave.f_clk / size, size)
+    k = np.arange(k_max + 1)  # empty for a negative k_max, which Spectrum refuses
+    return Spectrum(_dft_bins(wave.bits)[k] * _hold_envelope(k, size), wave.f_clk / size, size)
 
 
 def dominant_harmonics(spec: Spectrum) -> HarmonicSummary | None:

@@ -192,6 +192,27 @@ def test_filter_rejects_an_empty_trace():
         filter_response(AnalogTrace(np.zeros(0), 1e6), FilterModel(1e3))
 
 
+@pytest.mark.parametrize("args, match", [
+    ((np.zeros((2, 3)), 1.0), "1-D"),
+    ((np.array([0.0, np.inf]), 1.0), "finite"),
+    ((np.array([0.0, np.nan]), 1.0), "finite"),
+    ((np.ones(4), 0.0), "sample_rate"),
+    ((np.ones(4), -1.0), "sample_rate"),
+    ((np.ones(4), np.nan), "sample_rate"),
+    ((np.ones(4), np.inf), "sample_rate"),
+    ((np.ones(4), 1.0, 0.0), "period_s"),
+    ((np.ones(4), 1.0, -4.0), "period_s"),
+    ((np.ones(4), 1.0, np.inf), "period_s"),
+], ids=["2d", "inf_sample", "nan_sample", "rate_0", "rate_neg", "rate_nan",
+        "rate_inf", "period_0", "period_neg", "period_inf"])
+def test_analog_trace_rejects_bad_fields(args, match):
+    # a zero rate once raised ZeroDivisionError in filter_response, and a
+    # negative or NaN rate or an infinite sample gave NaN samples there; the
+    # empty trace is test_filter_rejects_an_empty_trace's
+    with pytest.raises(ParameterError, match=match):
+        AnalogTrace(*args)
+
+
 def _brentq_settling(fm, step, band_lsb, n_bits):
     """settling_time through scipy.optimize.brentq: the test-only oracle."""
     from scipy.optimize import brentq

@@ -234,6 +234,19 @@ def test_periph_syntax_error_exit_code(tmp_path, capsys):
     assert "line 1" in json.loads(err)["detail"]
 
 
+def test_periph_script_past_the_cycle_bound_is_refused(tmp_path, capsys):
+    # the bound is checked before the step runs, so nothing of size is built
+    script = tmp_path / "long.txt"
+    script.write_text("write 0x04 8\nstep 16\nstep 4194289\n")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "periph", "--script", str(script), "--out", str(out))
+    assert code == 2 and stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "parameter_error"
+    assert "line 3" in record["detail"] and "4194304 cycles" in record["detail"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_parameter_error_record(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "gen", "--kind", "mpwm", "--n", "5", "--sf", "9",

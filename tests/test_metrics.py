@@ -38,11 +38,21 @@ from mpwmdac.metrics import (
     _interpolation_bound,
     _ripple_margin,
     _running_ripples,
-    _summed_ripples,
-    _unit_response,
 )
 
 EM_1NS = EdgeModel(t_dr=1e-9, t_df=0.0)
+
+
+def _unit_response(cfg, fm):
+    """Filtered period of slot 0 alone, on the route's grid."""
+    spectra = _Spectra(cfg)
+    spectra.tune(fm)
+    return spectra.unit_response()
+
+
+def _summed_ripples(cfg, fm):
+    """Every code's full-grid ripple from one running sum of the unit response."""
+    return _running_ripples(_fill_order(cfg), _unit_response(cfg, fm))
 
 
 def family_configs(n: int):
@@ -256,7 +266,8 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
         for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
             fm = FilterModel(f_ct / cfg.period)
             spectra.tune(fm)
-            assert np.array_equal(spectra.unit_response(), _unit_response(cfg, fm))
+            unit = spectra.unit_response()  # code 1, since C_R[0] = 0
+            assert float(unit.max() - unit.min()) * cfg.steps == steady_ripple(cfg, 1, fm)
             for d in range(cfg.steps):
                 want = steady_ripple(cfg, d, fm)
                 assert spectra.ripple(d) == want, (cfg, f_ct, d)
@@ -282,16 +293,33 @@ def test_worst_steady_ripple_rejects_fons():
 
 def test_worst_ripple_non_decreasing_in_cutoff():
     # required_cutoff's bisection relies on this
-    for n in range(2, 9):
-        for cfg in ripple_configs(n):
-            grid = np.geomspace(1e-3, cfg.sn, 24)
-            worst = [worst_steady_ripple(cfg, FilterModel(f / cfg.period))[0] for f in grid]
-            assert np.all(np.diff(worst) >= 0), cfg
+    configs = [cfg for n in range(2, 9) for cfg in ripple_configs(n)] + [
+        ModulatorConfig.pwm(10), ModulatorConfig.mpwm(10, 3), ModulatorConfig.mpwm(10, 7),
+        ModulatorConfig.pcm(10), ModulatorConfig.pwm(12), ModulatorConfig.mpwm(12, 3),
+    ]
+    for cfg in configs:
+        grid = np.geomspace(1e-3, cfg.sn, 24)
+        worst = [worst_steady_ripple(cfg, FilterModel(f / cfg.period))[0] for f in grid]
+        assert np.all(np.diff(worst) >= 0), cfg
 
 
 def test_cutoff_search_takes_only_its_inputs():
     assert list(inspect.signature(required_cutoff).parameters) == ["cfg", "ripple_target"]
     assert list(inspect.signature(worst_steady_ripple).parameters) == ["cfg", "fm"]
+
+
+@pytest.mark.parametrize("n, ripple, match", [
+    (10, -1.0, "ripple_lsb"),  # once NaN
+    (10, 0.0, "ripple_lsb"),
+    (10, np.inf, "ripple_lsb"),  # once inf
+    (10, np.nan, "ripple_lsb"),
+    (-1, 0.5, "n must be"),  # once a bare "negative shift count"
+    (1, 0.5, "n must be"),
+    (17, 0.5, "n must be"),
+])
+def test_cutoff_rule_of_thumb_rejects_bad_inputs(n, ripple, match):
+    with pytest.raises(ParameterError, match=match):
+        cutoff_rule_of_thumb(n, ripple)
 
 
 def test_required_cutoff_pwm_matches_rule_of_thumb():

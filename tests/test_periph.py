@@ -182,6 +182,12 @@ def test_run_script_syntax_error_names_line():
         run_script("write 0x04 8\nstep 4\nfrobnicate 1 2\n")
 
 
+def test_run_script_bounds_its_total_cycles():
+    assert run_script("step 16\nstep 4194288\n").bits.size == 1 << 22
+    with pytest.raises(ParameterError, match="line 2: the script steps more than 4194304"):
+        run_script("step 16\nstep 4194289\n")
+
+
 def test_run_script_fault_names_line():
     with pytest.raises(PeripheralFault, match="line 2") as err:
         run_script("write 0x04 8\nwrite 0x10 1\n")
