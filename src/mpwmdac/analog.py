@@ -11,6 +11,7 @@ numpy and `scipy.linalg.expm` only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,20 @@ class FilterModel:
     """Second-order Butterworth low-pass with -3 dB cutoff f_c (Hz).
 
     H(s) = wc**2 / (s**2 + sqrt(2) wc s + wc**2); |H(0)| = 1 and
-    |H(j wc)| = 1/sqrt(2).
+    |H(j wc)| = 1/sqrt(2).  wc**2 must be a finite normal float, which
+    bounds f_c to about 2.4e-155 .. 2.1e153 Hz.
     """
 
     f_c: float
 
     def __post_init__(self) -> None:
         _require_positive("f_c", self.f_c)
+        square = self.omega_c * self.omega_c
+        if not (math.isfinite(square) and square >= sys.float_info.min):
+            raise ParameterError(
+                f"f_c must keep (2*pi*f_c)**2 a finite normal float, about "
+                f"2.4e-155 to 2.1e153 Hz, got {self.f_c}"
+            )
 
     @property
     def omega_c(self) -> float:

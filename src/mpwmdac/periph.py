@@ -90,7 +90,7 @@ class MpwmPeripheral:
         self._duty_active = 0
         self._counter = 0
         self._cycles_since_en = 0
-        self._cr = rearranged_counter(self._n, self._sf)
+        self._cr: np.ndarray | None = None  # C_R, built by each enable and read only while enabled
 
     # -- bus interface -------------------------------------------------------
 
@@ -264,59 +264,90 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
     return ScriptResult(bits=bits, reads=reads, final_registers=periph.registers())
 
 
+_VCD_HEADER = (
+    "$timescale 1ns $end\n"
+    "$scope module mpwm_dac $end\n"
+    "$var wire 1 ! out $end\n"
+    "$upscope $end\n"
+    "$enddefinitions $end\n"
+    "#0\n"
+)
+
+
+def _checked_bits(bits: np.ndarray) -> np.ndarray:
+    """The dumps' input as uint8: a 1-D array of 0/1 values (bool is fine)."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ParameterError(f"bits must be a 1-D array of 0/1 values, got shape {bits.shape}")
+    bad = (bits != 0) & (bits != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = bits[i:i + 1].tolist()[0]
+        raise ParameterError(f"bits must be 0 or 1, got {value!r} at index {i}")
+    return bits.astype(np.uint8, copy=False)
+
+
+def _dump(prefix: str, values: np.ndarray, bits: np.ndarray,
+          row: tuple[str, str, str], suffix: str) -> str:
+    """`prefix`, then one row `head value sep bit tail` per value, then `suffix`.
+
+    `values` are non-negative and non-decreasing, so the rows of each decimal
+    width are adjacent.  Each such block is one (rows, width) byte table of the
+    output buffer, filled a column at a time: the constant bytes by broadcast,
+    the digits by repeated divmod by 10 in the smallest unsigned type that
+    holds the block, and the bit as ord("0") + bit.
+    """
+    head, sep, tail = (np.frombuffer(s.encode(), dtype=np.uint8) for s in row)
+    fixed = head.size + sep.size + 1 + tail.size
+    digits = len(str(values[-1])) if values.size else 1
+    bounds = [0, *np.searchsorted(values, 10 ** np.arange(1, digits)).tolist(), values.size]
+    blocks = list(zip(range(1, digits + 1), bounds, bounds[1:]))
+    buf = np.empty(len(prefix) + sum((hi - lo) * (fixed + width) for width, lo, hi in blocks)
+                   + len(suffix), dtype=np.uint8)
+    buf[: len(prefix)] = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    buf[buf.size - len(suffix):] = np.frombuffer(suffix.encode(), dtype=np.uint8)
+    start = len(prefix)
+    for width, lo, hi in blocks:
+        if lo == hi:
+            continue
+        table = buf[start:start + (hi - lo) * (fixed + width)].reshape(hi - lo, fixed + width)
+        start += table.size
+        end = head.size + width  # one past the last digit column
+        table[:, : head.size] = head
+        table[:, end:end + sep.size] = sep
+        table[:, end + sep.size + 1:] = tail
+        value = values[lo:hi].astype(np.min_scalar_type(values[hi - 1]))
+        digit = np.empty_like(value)
+        for col in range(end - 1, head.size, -1):
+            np.divmod(value, 10, out=(value, digit))
+            np.add(digit, ord("0"), out=table[:, col], casting="unsafe")
+        np.add(value, ord("0"), out=table[:, head.size], casting="unsafe")
+        np.add(bits[lo:hi], ord("0"), out=table[:, end + sep.size])
+    return str(buf, "ascii")
+
+
 def trace_to_vcd(bits: np.ndarray) -> str:
-    """Change-dump of the output bit at 10 ns per clock cycle."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    lines = [
-        "$timescale 1ns $end",
-        "$scope module mpwm_dac $end",
-        "$var wire 1 ! out $end",
-        "$upscope $end",
-        "$enddefinitions $end",
-        "#0",
-        "0!" if (bits.size == 0 or bits[0] == 0) else "1!",
-    ]
+    """Change-dump of the output bit at 10 ns per clock cycle.
+
+    `bits` must be a 1-D array of 0/1 values (bool is fine); anything else
+    raises ParameterError.  After the header and the value at `#0`, each edge
+    at cycle i is a row `#<10 i>` / `<bit>!`; a `#<10 * cycles>` line closes
+    the dump.  Edge times rise, so the rows of each digit count are one
+    fixed-width byte table, built by `_dump`.
+    """
+    bits = _checked_bits(bits)
     edges = np.flatnonzero(np.diff(bits)) + 1
-    for i, b in zip(edges.tolist(), bits[edges].tolist()):
-        lines += (f"#{10 * i}", f"{b}!")
-    if bits.size:
-        lines.append(f"#{10 * bits.size}")
-    return "\n".join(lines) + "\n"
-
-
-_POWERS_OF_TEN = 10 ** np.arange(1, 19)
-
-
-def _decimal_widths(values: np.ndarray) -> np.ndarray:
-    """Digit count of each non-negative integer in decimal."""
-    return np.searchsorted(_POWERS_OF_TEN, values, side="right") + 1
-
-
-def _put_decimal(buf: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
-    """Write each value's ASCII decimal digits into buf, its units digit at `last`."""
-    place = 1
-    while True:
-        buf[last] = ord("0") + values // place % 10
-        place *= 10
-        more = values >= place
-        if not more.any():
-            return
-        last, values = last[more] - 1, values[more]
+    first = "1!\n" if bits.size and bits[0] else "0!\n"
+    end = f"#{10 * bits.size}\n" if bits.size else ""
+    return _dump(_VCD_HEADER + first, 10 * edges, bits[edges], ("#", "\n", "!\n"), end)
 
 
 def trace_to_csv(bits: np.ndarray) -> str:
-    """Per-cycle dump with header `cycle,out`.
+    """Per-cycle dump: the header `cycle,out`, then a row `cycle,bit` per cycle.
 
-    The rows `cycle,bit` are laid out as one byte array: row widths give
-    each row's end, then the digits, commas and newlines are filled in.
+    `bits` must be a 1-D array of 0/1 values (bool is fine); anything else
+    raises ParameterError.  Cycles rise by one per row, so the rows of each
+    digit count are one fixed-width byte table, built by `_dump`.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    cycles, outs = np.arange(bits.size), bits.astype(np.int64)
-    out_widths = _decimal_widths(outs)
-    ends = np.cumsum(_decimal_widths(cycles) + out_widths + 2)  # one past each newline
-    buf = np.empty(ends[-1] if bits.size else 0, dtype=np.uint8)
-    buf[ends - 1] = ord("\n")
-    buf[ends - 2 - out_widths] = ord(",")
-    _put_decimal(buf, ends - 3 - out_widths, cycles)
-    _put_decimal(buf, ends - 2, outs)
-    return "cycle,out\n" + buf.tobytes().decode()
+    bits = _checked_bits(bits)
+    return _dump("cycle,out\n", np.arange(bits.size), bits, ("", ",", "\n"), "")

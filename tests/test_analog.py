@@ -269,6 +269,18 @@ def test_non_finite_or_degenerate_values_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("f_c", [1e200, 1e-200, 1e-170, 2.2e153, 2.3e-155])
+def test_filter_refuses_a_cutoff_whose_square_is_not_normal(f_c):
+    with pytest.raises(ParameterError, match="f_c must keep"):
+        FilterModel(f_c)
+
+
+def test_filter_takes_the_cutoffs_at_its_bounds():
+    for f_c in (2.1e153, 2.4e-155):
+        a, b, _ = FilterModel(f_c).state_space()
+        assert np.isfinite(a).all() and b[1, 0] >= np.finfo(float).smallest_normal
+
+
 def test_filter_transient_approaches_steady_state():
     fm = FilterModel(2e3)
     rate = 1e6

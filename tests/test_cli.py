@@ -288,6 +288,7 @@ _OUT_OF_RANGE = [
     ["spectrum", "--kind", "mpwm", "--n", "4", "--sf", "1", "--duty", "3",
      "--kmax", "1000000000000000"],
     ["settle", "--fc", "1e-320"],
+    ["settle", "--fc=1e200"],
     ["metrics", "--kind", "pwm", "--n", "6", "--fc", "1e-320"],
     ["cutoff", "--kind", "mpwm", "--n", "6", "--sf", "3", "--ripple-target=1e-30"],
     ["cutoff", "--kind", "pcm", "--n", "12", "--ripple-target=1e-30"],

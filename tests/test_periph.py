@@ -1,10 +1,13 @@
 """Peripheral emulation tests: stream equivalence, buffering, fault atomicity."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpwmdac import ModulatorConfig, ParameterError, mpwm_wave
+from mpwmdac import ModulatorConfig, ParameterError, mpwm_wave, periph
+from mpwmdac.cli import main
 from mpwmdac.periph import (
     ADDR_CTRL,
     ADDR_DUTY,
@@ -251,9 +254,94 @@ def test_vcd_and_csv_dumps():
     assert lines[1:] == ["0,0", "1,0", "2,1", "3,1", "4,0"]
 
 
-@pytest.mark.parametrize("size", [0, 1, 10, 11, 101, 1001, 16384])
+def csv_reference(bits) -> str:
+    """The CSV dump built one row at a time from f-strings."""
+    rows = (f"{i},{b}\n" for i, b in enumerate(np.asarray(bits).astype(int).tolist()))
+    return "".join(["cycle,out\n", *rows])
+
+
+def vcd_reference(bits) -> str:
+    """The VCD dump built one edge at a time from f-strings."""
+    bits = np.asarray(bits).astype(int).tolist()
+    lines = [
+        "$timescale 1ns $end",
+        "$scope module mpwm_dac $end",
+        "$var wire 1 ! out $end",
+        "$upscope $end",
+        "$enddefinitions $end",
+        "#0",
+        f"{bits[0] if bits else 0}!",
+    ]
+    for i in range(1, len(bits)):
+        if bits[i] != bits[i - 1]:
+            lines += (f"#{10 * i}", f"{bits[i]}!")
+    if bits:
+        lines.append(f"#{10 * len(bits)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 10, 11, 100, 101, 1000, 1001, 16384, 100001])
 def test_csv_dump_equals_per_row_format(size):
     rng = np.random.default_rng(size)
-    for bits in (rng.integers(0, 2, size), rng.integers(0, 256, size).astype(np.uint8)):
-        rows = (f"{i},{b}\n" for i, b in enumerate(bits.tolist()))
-        assert trace_to_csv(bits) == "".join(["cycle,out\n", *rows])
+    bits = rng.integers(0, 2, size)
+    assert trace_to_csv(bits) == csv_reference(bits)
+    wide = rng.integers(0, 256, size).astype(np.uint8)
+    if np.any(wide > 1):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            trace_to_csv(wide)
+
+
+# every change of digit width in the edge times 10 * i, and in the closing time
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 10, 11, 99, 100, 101, 1001, 16384])
+def test_vcd_dump_equals_per_edge_format(size):
+    rng = np.random.default_rng(size)
+    for bits in (rng.integers(0, 2, size), np.zeros(size, np.uint8), np.ones(size, np.uint8)):
+        assert trace_to_vcd(bits) == vcd_reference(bits)
+
+
+def test_dumps_take_bool_bits():
+    bits = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    assert trace_to_csv(bits.astype(bool)) == trace_to_csv(bits)
+    assert trace_to_vcd(bits.astype(bool)) == trace_to_vcd(bits)
+
+
+@pytest.mark.parametrize("dump", [trace_to_csv, trace_to_vcd])
+@pytest.mark.parametrize("bits, match", [
+    (np.array([256, 1, -1]), "got 256 at index 0"),
+    ([0, 2, 0], "got 2 at index 1"),
+    ([0.7], "got 0.7 at index 0"),
+    (np.zeros((2, 3), dtype=np.uint8), r"got shape \(2, 3\)"),
+])
+def test_dumps_refuse_anything_but_0_1_bits(dump, bits, match):
+    with pytest.raises(ParameterError, match=match):
+        dump(bits)
+
+
+def test_cli_periph_files_equal_per_row_format(tmp_path, capsys):
+    script = tmp_path / "prog.txt"
+    script.write_text(
+        "write 0x04 6\nwrite 0x08 20\nwrite 0x00 0x21\nstep 1500\n"
+        "write 0x00 0x20  # disable\nstep 77\n"
+        "write 0x04 8\nwrite 0x08 100\nwrite 0x00 0x30  # reconfigure\nstep 5\n"
+        "write 0x00 0x31  # re-enable\nstep 2000\n"
+    )
+    assert main(["periph", "--script", str(script), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["cycles"] == 3582
+    bits = run_script(script.read_text()).bits
+    assert bits[:1024].sum() == bits[1500:2606].sum() == 0 and bits[-256:].sum() == 100
+    assert (tmp_path / "periph_trace.csv").read_bytes() == csv_reference(bits).encode()
+    assert (tmp_path / "periph_trace.vcd").read_bytes() == vcd_reference(bits).encode()
+
+
+def test_counter_is_built_only_by_an_enable(monkeypatch):
+    builds = []
+    build = periph.rearranged_counter
+
+    def counted(n, sf):
+        builds.append((n, sf))
+        return build(n, sf)
+
+    monkeypatch.setattr(periph, "rearranged_counter", counted)
+    run_script("step 10\nwrite 0x04 8\nwrite 0x00 0x21\nstep 10\n"
+               "write 0x00 0x20\nwrite 0x00 0x31\nstep 10\n")
+    assert builds == [(8, 2), (8, 3)]
