@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ParameterError, _require_positive
+from .errors import ParameterError, _require_int, _require_positive
 from .modwave import (
     BitWaveform,
     DutyCode,
     EdgeList,
     ModulatorConfig,
     _coerce_duty,
+    _slot_wave,
     count_pulses,
     generate,
 )
@@ -183,8 +184,7 @@ def to_analog(
     t_rise / t_fall; see EdgeModel for the width convention.  The trace is
     periodic: ramps spilling over the period boundary wrap around.
     """
-    if oversample < 4:
-        raise ParameterError(f"oversample must be >= 4, got {oversample}")
+    oversample = _require_int("oversample", oversample, 4)
     edges = _as_edges(wave)
     period = edges.period
     n_samples = int(round(period * edges.f_clk)) * oversample
@@ -381,9 +381,7 @@ def steady_ripple(
     steady state and measures the swing (cross-check path); the two agree
     within 1%.
     """
-    wave = generate(cfg, duty)
-    if isinstance(wave, EdgeList):
-        raise ParameterError("steady_ripple expects a cycle-quantized modulator kind")
+    wave = _slot_wave(cfg, duty)
     if method == "time":
         trace = to_analog(wave, IDEAL_EDGES, oversample)
         return _ripple_lsb(filter_response(trace, fm, steady_state=True).samples, cfg)
@@ -409,8 +407,7 @@ def settling_time(
     exactly as 1/f_c.
     """
     _require_positive("band_lsb", band_lsb)
-    if not 2 <= n_bits <= 16:
-        raise ParameterError(f"n_bits must be in [2, 16], got {n_bits}")
+    n_bits = _require_int("n_bits", n_bits, 2, 16)
     if step == "one_lsb":
         b = band_lsb
     elif step == "full_scale":

@@ -100,14 +100,11 @@ def _fmt(value: float) -> str:
 
 
 def _build_config(args) -> ModulatorConfig:
-    kind = Kind(args.kind)
-    sf = args.sf
-    if kind == Kind.PCM:
-        sf = args.n - 1
+    sf = args.n - 1 if args.kind == Kind.PCM else args.sf
     fine_bits = args.fine_bits
     if fine_bits is None:
-        fine_bits = 4 if kind == Kind.HRMPWM else 0
-    return ModulatorConfig(kind, args.n, sf, parse_freq(args.fclk), fine_bits)
+        fine_bits = 4 if args.kind == Kind.HRMPWM else 0
+    return ModulatorConfig(args.kind, args.n, sf, parse_freq(args.fclk), fine_bits)
 
 
 def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time
 from .analog import _SAMPLES_PER_SLOT, _HarmonicRoute, _ripple_lsb
-from .errors import ParameterError, _require_positive
+from .errors import ParameterError, _require_int, _require_positive
 from .modwave import (
     DutyCode,
     Kind,
@@ -23,8 +23,8 @@ from .modwave import (
     _coerce_duty,
     _fill_order,
     _require_mpwm_family,
+    _slot_wave,
     count_pulses,
-    generate,
 )
 from .spectral import _dft_bins
 
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 
-def _pulses(cfg: ModulatorConfig, duty: int | DutyCode) -> int:
-    if cfg.kind == Kind.HRMPWM:
-        raise ParameterError("static metrics operate on the cycle-quantized kinds")
-    return count_pulses(generate(cfg, duty))
-
-
 def static_error(
     cfg: ModulatorConfig, duty: int | DutyCode, em: EdgeModel = IDEAL_EDGES
 ) -> float:
@@ -59,7 +53,7 @@ def static_error(
     duty) and the edge term pulse_count * dw * f_clk.
     """
     duty = _coerce_duty(cfg, duty)
-    pulses = _pulses(cfg, duty)
+    pulses = count_pulses(_slot_wave(cfg, duty))
     supply_term = em.supply_rel_err * duty.coarse
     return supply_term + pulses * em.dw * cfg.f_clk
 
@@ -74,7 +68,7 @@ def edge_counts_sweep(cfg: ModulatorConfig) -> np.ndarray:
     code is generated and counted (and HRMPWM is refused there).
     """
     if cfg.kind in (Kind.FONS, Kind.HRMPWM):
-        return np.array([_pulses(cfg, d) for d in range(cfg.steps)], dtype=np.int64)
+        return np.array([count_pulses(_slot_wave(cfg, d)) for d in range(cfg.steps)], np.int64)
     order = _fill_order(cfg)
     cr = np.argsort(order)  # the inverse permutation: C_R[s] = D where order[D] = s
     high_neighbours = (np.roll(cr, 1) < cr).astype(np.int64) + (np.roll(cr, -1) < cr)
@@ -130,8 +124,7 @@ _CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex term
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
     """Classic PWM design rule f_c*T = 0.81 * sqrt(ripple / 2**n)."""
-    if not 2 <= n <= 16:
-        raise ParameterError(f"n must be in [2, 16], got {n}")
+    n = _require_int("n", n, 2, 16)
     _require_positive("ripple_lsb", ripple_lsb)
     return 0.81 * np.sqrt(ripple_lsb / (1 << n))
 
@@ -316,7 +309,12 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     def within(f_ct: float) -> tuple[float, int] | None:
         """(worst ripple, its code) at f_ct, or None when it exceeds the target."""
         nonlocal witness, sweeps, checks
-        spectra.tune(FilterModel(f_ct / period))
+        try:
+            fm = FilterModel(f_ct / period)
+        except ParameterError:
+            raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, f_c = "
+                                 f"{f_ct / period} Hz, outside FilterModel's range") from None
+        spectra.tune(fm)
         if witness is not None:
             checks += 1
             if spectra.ripple(witness) > ripple_target:

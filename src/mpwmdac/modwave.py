@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _require_positive
+from .errors import ParameterError, _require_int, _require_positive
 
 __all__ = [
     "Kind",
@@ -61,9 +61,11 @@ class Kind(str, Enum):
 class ModulatorConfig:
     """Static configuration of one modulator instance.
 
-    n is the counter bit width (2..16), sf the splitting factor (0..n-1),
-    f_clk the clock in Hz.  fine_bits is the sub-clock resolution of the
-    HR delay line and must be 0 for every kind except HRMPWM.
+    kind is a Kind or its value ("pwm", ...).  n is the counter bit width
+    (2..16), sf the splitting factor (0..n-1), f_clk the clock in Hz.
+    fine_bits is the sub-clock resolution of the HR delay line (1..6) and
+    must be 0 for every kind except HRMPWM.  The integers are stored as
+    Python ints.
     """
 
     kind: Kind
@@ -73,30 +75,25 @@ class ModulatorConfig:
     fine_bits: int = 0
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n <= 16:
-            raise ParameterError(f"n must be in [2, 16], got {self.n}")
-        if not 0 <= self.sf <= self.n - 1:
+        try:
+            object.__setattr__(self, "kind", Kind(self.kind))
+        except ValueError:
             raise ParameterError(
-                f"sf must be in [0, {self.n - 1}] for n={self.n}, got {self.sf}"
-            )
+                f"kind must be one of {', '.join(k.value for k in Kind)}, got {self.kind!r}"
+            ) from None
+        n = _require_int("n", self.n, 2, 16)
+        sf = _require_int("sf", self.sf, 0, n - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sf", sf)
         _require_positive("f_clk", self.f_clk)
-        if self.kind == Kind.PWM and self.sf != 0:
-            raise ParameterError(f"PWM requires sf=0, got sf={self.sf}")
-        if self.kind == Kind.PCM and self.sf != self.n - 1:
-            raise ParameterError(
-                f"PCM requires sf=n-1={self.n - 1}, got sf={self.sf}"
-            )
-        if self.kind == Kind.FONS and self.sf != 0:
-            raise ParameterError(f"FONS ignores sf and requires sf=0, got {self.sf}")
-        if self.kind == Kind.HRMPWM:
-            if not 1 <= self.fine_bits <= 6:
-                raise ParameterError(
-                    f"HRMPWM requires fine_bits in [1, 6], got {self.fine_bits}"
-                )
-        elif self.fine_bits != 0:
-            raise ParameterError(
-                f"fine_bits must be 0 for kind={self.kind.value}, got {self.fine_bits}"
-            )
+        if self.kind == Kind.PWM and sf != 0:
+            raise ParameterError(f"PWM requires sf=0, got sf={sf}")
+        if self.kind == Kind.PCM and sf != n - 1:
+            raise ParameterError(f"PCM requires sf=n-1={n - 1}, got sf={sf}")
+        if self.kind == Kind.FONS and sf != 0:
+            raise ParameterError(f"FONS ignores sf and requires sf=0, got {sf}")
+        fine = (1, 6) if self.kind == Kind.HRMPWM else (0, 0)  # bits of the HR delay line
+        object.__setattr__(self, "fine_bits", _require_int("fine_bits", self.fine_bits, *fine))
 
     # -- derived quantities ------------------------------------------------
 
@@ -156,28 +153,11 @@ class DutyCode:
 
 
 def _coerce_duty(cfg: ModulatorConfig, duty: int | DutyCode) -> DutyCode:
-    if isinstance(duty, int) and not isinstance(duty, bool):
-        duty = DutyCode(duty)
-    if not isinstance(duty, DutyCode):
-        raise ParameterError(f"duty must be an int or DutyCode, got {type(duty)!r}")
-    top = cfg.steps - 1
-    if not 0 <= duty.coarse <= top:
-        raise ParameterError(
-            f"duty.coarse must be in [0, {top}] for n={cfg.n}, got {duty.coarse}"
-        )
-    if cfg.kind != Kind.HRMPWM:
-        if duty.fine != 0:
-            raise ParameterError(
-                f"duty.fine must be 0 for kind={cfg.kind.value}, got {duty.fine}"
-            )
-    else:
-        fine_top = (1 << cfg.fine_bits) - 1
-        if not 0 <= duty.fine <= fine_top:
-            raise ParameterError(
-                f"duty.fine must be in [0, {fine_top}] for fine_bits={cfg.fine_bits},"
-                f" got {duty.fine}"
-            )
-    return duty
+    coarse, fine = (duty.coarse, duty.fine) if isinstance(duty, DutyCode) else (duty, 0)
+    return DutyCode(
+        _require_int("duty", coarse, 0, cfg.steps - 1),
+        _require_int("duty.fine", fine, 0, (1 << cfg.fine_bits) - 1),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,13 +286,15 @@ def bit_reverse(value: int | np.ndarray, bits: int) -> int | np.ndarray:
 
 
 def rearranged_counter(n: int, sf: int) -> np.ndarray:
-    """Rearranged counter word C_R for every counter state 0..2**n-1.
+    """Rearranged counter word C_R for every counter state 0..2**n-1 (n in 2..16, sf < n).
 
     The counter's low n-sf bits move to the top of the word with their order
     kept; its top sf bits move to the bottom with their significance
     reversed.  The map is a bit permutation, hence a bijection on
     [0, 2**n): exactly D counter states satisfy C_R < D for any duty D.
     """
+    n = _require_int("n", n, 2, 16)
+    sf = _require_int("sf", sf, 0, n - 1)
     size = 1 << n
     sub = size >> sf
     c = np.arange(size, dtype=np.int64)
@@ -419,13 +401,16 @@ def hr_mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> EdgeList:
     return EdgeList(times, edges.risings, cfg.period, cfg.f_clk)
 
 
+def _slot_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
+    """One period as slots, for the analyses that read them; HRMPWM is refused."""
+    if cfg.kind == Kind.HRMPWM:
+        raise ParameterError("a slot analysis needs a cycle-quantized kind, got hrmpwm")
+    return fons_wave(cfg, duty) if cfg.kind == Kind.FONS else mpwm_wave(cfg, duty)
+
+
 def generate(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform | EdgeList:
     """One period of any kind: an EdgeList for HRMPWM, else a BitWaveform."""
-    if cfg.kind == Kind.FONS:
-        return fons_wave(cfg, duty)
-    if cfg.kind == Kind.HRMPWM:
-        return hr_mpwm_wave(cfg, duty)
-    return mpwm_wave(cfg, duty)
+    return hr_mpwm_wave(cfg, duty) if cfg.kind == Kind.HRMPWM else _slot_wave(cfg, duty)
 
 
 def count_pulses(wave: BitWaveform | EdgeList) -> int:

@@ -14,11 +14,12 @@ Register map (32-bit word addresses):
     HRDUTY @ 0x0C   4-bit fine duty (stored and read back only)
     STATUS @ 0x10   bit0 DLL_LOCKED               (read-only)
 
-Reserved bits read as zero and are ignored on write.  The fine delay line
-has 16 phases (fine_bits = 4), but the fine stage is not emulated in the
-bit stream: HRDUTY is only stored and read back, and the output carries the
-coarse MPWM waveform.  The output is forced low until the lock latency
-elapses.
+Addresses and values are integers >= 0; any other word faults with
+UNMAPPED_ADDRESS or BAD_VALUE.  Reserved bits read as zero and are ignored
+on write.  The fine delay line has 16 phases (fine_bits = 4), but the fine
+stage is not emulated in the bit stream: HRDUTY is only stored and read
+back, and the output carries the coarse MPWM waveform.  The output is
+forced low until the lock latency elapses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_int
 from .modwave import rearranged_counter
 
 __all__ = [
@@ -78,6 +79,14 @@ class PeripheralFault(Exception):
         self.code = code
 
 
+def _bus_word(name: str, word: int, code: FaultCode) -> int:
+    """A bus address or value as an int >= 0, else a PeripheralFault with `code`."""
+    try:
+        return _require_int(name, word, 0)
+    except ParameterError as exc:
+        raise PeripheralFault(code, str(exc)) from None
+
+
 class MpwmPeripheral:
     """Single-owner stepped automaton emulating the DAC peripheral."""
 
@@ -95,8 +104,8 @@ class MpwmPeripheral:
     # -- bus interface -------------------------------------------------------
 
     def reg_write(self, addr: int, value: int) -> None:
-        if value < 0:
-            raise PeripheralFault(FaultCode.BAD_VALUE, f"negative value {value}")
+        value = _bus_word("value", value, FaultCode.BAD_VALUE)
+        addr = _bus_word("address", addr, FaultCode.UNMAPPED_ADDRESS)
         if addr == ADDR_CTRL:
             value &= _CTRL_EN | _CTRL_SF_MASK
             sf = (value & _CTRL_SF_MASK) >> _CTRL_SF_SHIFT
@@ -139,6 +148,7 @@ class MpwmPeripheral:
             )
 
     def reg_read(self, addr: int) -> int:
+        addr = _bus_word("address", addr, FaultCode.UNMAPPED_ADDRESS)
         if addr == ADDR_CTRL:
             return (self._sf << _CTRL_SF_SHIFT) | int(self._en)
         if addr == ADDR_NBITS:
@@ -190,8 +200,7 @@ class MpwmPeripheral:
         at the boundary, repeated.  Output is forced low until the lock
         latency has elapsed; duty writes take effect at the next boundary.
         """
-        if cycles < 1:
-            raise ParameterError(f"cycles must be >= 1, got {cycles}")
+        cycles = _require_int("cycles", cycles, 1)
         if not self._en:
             return np.zeros(cycles, dtype=np.uint8)
         size, pos = self._size, self._counter

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .modwave import BitWaveform, EdgeList, ModulatorConfig, generate
+from .errors import ParameterError, _require_int, _require_positive
+from .modwave import BitWaveform, ModulatorConfig, _slot_wave
 
 __all__ = [
     "Spectrum",
@@ -111,19 +111,19 @@ _CHUNK_TERMS = 1 << 20  # k x run terms summed at once; bounds the working memor
 _K_MAX_LIMIT = _CHUNK_TERMS - 1  # so one run's k column fits one chunk: memory stays bounded
 
 
-def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int) -> np.ndarray:
+def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int | None) -> np.ndarray:
     """Sum of rectangle coefficients over runs (starts, widths) for k = 0..k_max.
 
-    The phase index k (2 s + w) is reduced mod 2N in integers before it picks
-    its root of unity, so the phase is exact at every k and a_0 sums w/N exactly.
+    k_max defaults to N/2.  The phase index k (2 s + w) is reduced mod 2N in
+    integers before it picks its root of unity, so the phase is exact at every
+    k and a_0 sums w/N exactly.
     """
-    if k_max > _K_MAX_LIMIT:
-        raise ParameterError(f"k_max must be at most {_K_MAX_LIMIT}, got {k_max}")
     size = 1 << n
+    k_max = _require_int("k_max", size // 2 if k_max is None else k_max, 0, _K_MAX_LIMIT)
     k = np.arange(k_max + 1)
     roots = np.exp(-1j * np.pi / size * np.arange(2 * size))
     coeffs = np.zeros(k.size, dtype=complex)
-    step = _CHUNK_TERMS // max(k.size, 1)
+    step = _CHUNK_TERMS // k.size
     for i in range(0, starts.size, step):
         s, w = starts[i : i + step], widths[i : i + step]
         terms = np.sinc(np.outer(k, w) / size) * roots[np.outer(k, 2 * s + w) % (2 * size)]
@@ -136,16 +136,14 @@ def unit_signal_coeffs(
 ) -> Spectrum:
     """Spectrum of the unit signal at slot m of 2**n: the run of width 1.
 
-    With f_clk omitted the period is normalized to 1 s.
+    With f_clk omitted (None) the period is normalized to 1 s.
     """
-    if not 2 <= n <= 16:
-        raise ParameterError(f"n must be in [2, 16], got {n}")
+    n = _require_int("n", n, 2, 16)
     size = 1 << n
-    if not 0 <= m < size:
-        raise ParameterError(f"m must be in [0, {size - 1}] for n={n}, got {m}")
-    if k_max is None:
-        k_max = size // 2
-    fundamental = (f_clk / size) if f_clk else 1.0
+    m = _require_int("m", m, 0, size - 1)
+    if f_clk is not None:
+        _require_positive("f_clk", f_clk)
+    fundamental = 1.0 if f_clk is None else f_clk / size
     coeffs = _run_coeffs(n, np.array([m]), np.array([1]), k_max)
     return Spectrum(coeffs, fundamental, size)
 
@@ -157,11 +155,7 @@ def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Sp
     of generate(cfg, duty); a pulse that wraps the period is two runs.
     Independent of (and checked against) `dft_period`.
     """
-    wave = generate(cfg, duty)
-    if isinstance(wave, EdgeList):
-        raise ParameterError("superpose_coeffs expects a cycle-quantized modulator kind")
-    if k_max is None:
-        k_max = cfg.steps // 2
+    wave = _slot_wave(cfg, duty)
     edges = np.diff(wave.bits.astype(np.int8), prepend=0, append=0)
     starts = np.nonzero(edges == 1)[0]
     coeffs = _run_coeffs(cfg.n, starts, np.nonzero(edges == -1)[0] - starts, k_max)
@@ -190,13 +184,8 @@ def dft_period(wave: BitWaveform, k_max: int | None = None) -> Spectrum:
     if size & (size - 1):
         raise ParameterError(f"waveform length must be a power of two, got {size}")
     half = size // 2
-    if k_max is None:
-        k_max = half
-    if k_max > half:
-        raise ParameterError(
-            f"dft_period resolves k <= {half} for {size} samples, got k_max={k_max}"
-        )
-    k = np.arange(k_max + 1)  # empty for a negative k_max, which Spectrum refuses
+    why = f"; dft_period resolves k <= {half} for {size} samples"
+    k = np.arange(_require_int("k_max", half if k_max is None else k_max, 0, half, why) + 1)
     return Spectrum(_dft_bins(wave.bits)[k] * _hold_envelope(k, size), wave.f_clk / size, size)
 
 

@@ -130,6 +130,15 @@ def test_reserved_bits_read_back_zero():
         (False, ADDR_NBITS, 17, FaultCode.BAD_VALUE),
         (False, ADDR_CTRL, (9 << 4) | 1, FaultCode.BAD_VALUE),  # SF >= n=8
         (False, ADDR_DUTY, -1, FaultCode.BAD_VALUE),
+        (False, 0.0, 0x21, FaultCode.UNMAPPED_ADDRESS),  # once enabled the DAC
+        (False, False, 0x21, FaultCode.UNMAPPED_ADDRESS),
+        (False, "0", 0x21, FaultCode.UNMAPPED_ADDRESS),
+        (False, None, 1, FaultCode.UNMAPPED_ADDRESS),
+        (False, ADDR_DUTY, 1.5, FaultCode.BAD_VALUE),  # once a bare TypeError
+        (False, ADDR_DUTY, 3.0, FaultCode.BAD_VALUE),
+        (False, ADDR_DUTY, True, FaultCode.BAD_VALUE),
+        (False, ADDR_DUTY, "3", FaultCode.BAD_VALUE),
+        (True, ADDR_DUTY, None, FaultCode.BAD_VALUE),
     ],
 )
 def test_faults_are_distinct_and_atomic(setup, addr, value, code):
@@ -151,6 +160,23 @@ def test_read_unmapped_faults():
     with pytest.raises(PeripheralFault) as err:
         p.reg_read(0x44)
     assert err.value.code == FaultCode.UNMAPPED_ADDRESS
+
+
+@pytest.mark.parametrize("addr", [8.0, True, "8", None, -1])
+def test_read_refuses_non_integer_addresses(addr):
+    p = MpwmPeripheral()
+    p.reg_write(ADDR_DUTY, 40)
+    with pytest.raises(PeripheralFault) as err:
+        p.reg_read(addr)  # 8.0 once read DUTY
+    assert err.value.code == FaultCode.UNMAPPED_ADDRESS
+
+
+def test_bus_takes_numpy_words():
+    p = MpwmPeripheral()
+    p.reg_write(np.int64(ADDR_DUTY), np.uint16(40))
+    p.reg_write(np.uint8(ADDR_CTRL), np.int32(0x21))
+    assert p.reg_read(np.int64(ADDR_DUTY)) == 40
+    assert p.reg_read(ADDR_CTRL) == 0x21
 
 
 def test_run_script_matches_generator():
