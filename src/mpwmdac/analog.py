@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import ParameterError, _require_int, _require_real
 from .modwave import (
     BitWaveform,
     DutyCode,
@@ -55,6 +55,7 @@ class EdgeModel:
     t_dr after, so a positive dw stretches every pulse and the period
     average rises by pulse_count * dw * f_clk LSB.  supply_rel_err is the
     relative deviation of u_s from the nominal supply that defines the LSB.
+    The fields are stored as Python floats.
     """
 
     t_dr: float = 0.0
@@ -65,21 +66,11 @@ class EdgeModel:
     supply_rel_err: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("t_dr", "t_df", "t_rise", "t_fall", "u_s", "supply_rel_err"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("t_dr", "t_df", "t_rise", "t_fall"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.u_s <= 0:
-            raise ParameterError(f"u_s must be positive, got {self.u_s}")
-        if self.supply_rel_err <= -1:
-            raise ParameterError(f"supply_rel_err must be > -1, got {self.supply_rel_err}")
-        if not (math.isfinite(self.u_nominal) and self.u_nominal > 0):
-            raise ParameterError(
-                f"u_s / (1 + supply_rel_err) overflows or underflows: u_s={self.u_s}, "
-                f"supply_rel_err={self.supply_rel_err}"
-            )
+        for name, lo, above in (("t_dr", 0, False), ("t_df", 0, False), ("t_rise", 0, False),
+                                ("t_fall", 0, False), ("u_s", 0, True),
+                                ("supply_rel_err", -1, True)):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), lo, above))
+        _require_real("u_s / (1 + supply_rel_err)", self.u_nominal)  # may overflow or underflow
 
     @property
     def dw(self) -> float:
@@ -108,7 +99,7 @@ class FilterModel:
     f_c: float
 
     def __post_init__(self) -> None:
-        _require_positive("f_c", self.f_c)
+        object.__setattr__(self, "f_c", _require_real("f_c", self.f_c))
         square = self.omega_c * self.omega_c
         if not (math.isfinite(square) and square >= sys.float_info.min):
             raise ParameterError(
@@ -157,10 +148,10 @@ class AnalogTrace:
             )
         if not np.isfinite(samples).all():
             raise ParameterError("trace samples must be finite")
-        _require_positive("sample_rate", self.sample_rate)
-        if self.period_s is not None:
-            _require_positive("period_s", self.period_s)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", _require_real("sample_rate", self.sample_rate))
+        if self.period_s is not None:
+            object.__setattr__(self, "period_s", _require_real("period_s", self.period_s))
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -204,11 +195,9 @@ def to_analog(
     start = mid - dur / 2.0
     end = mid + dur / 2.0
 
-    gaps = np.diff(np.concatenate([start, [start[0] + period]]))
-    overlap = end[:-1] > start[1:] if edges.times.size > 1 else np.array([False])
-    wrap_overlap = end[-1] > start[0] + period
-    if np.any(overlap) or wrap_overlap:
-        worst = float(np.min(gaps))
+    next_start = np.append(start[1:], start[0] + period)  # cyclically
+    if np.any(end > next_start):
+        worst = float(np.min(next_start - start))
         raise ParameterError(
             "edge ramps overlap; the limiting rate is "
             f"{1.0 / max(worst, 1e-300):.6g} Hz between consecutive edges "
@@ -406,18 +395,16 @@ def settling_time(
     envelope, found by bisection on its one-crossing bracket; it scales
     exactly as 1/f_c.
     """
-    _require_positive("band_lsb", band_lsb)
+    band_lsb = _require_real("band_lsb", band_lsb)
     n_bits = _require_int("n_bits", n_bits, 2, 16)
     if step == "one_lsb":
         b = band_lsb
-    elif step == "full_scale":
-        b = band_lsb / (1 << n_bits)
+    elif step == "full_scale":  # the band may underflow to 0
+        b = _require_real("band_lsb / 2**n_bits", band_lsb / (1 << n_bits))
     else:
         raise ParameterError(f"step must be 'one_lsb' or 'full_scale', got {step!r}")
     if b >= 1.0:
         return 0.0
-    if b == 0.0:
-        raise ParameterError(f"band {band_lsb} LSB of a {n_bits}-bit step underflows to 0")
 
     # normalized deviation y(t)-1 = -exp(-th)(cos th + sin th), th = wc t / sqrt(2);
     # extrema sit at th = m*pi with |dev| = exp(-m*pi), so the last band crossing

@@ -13,9 +13,20 @@ class ParameterError(ValueError):
     """
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
+def _require_real(name: str, value, lo: float = 0, above: bool = True) -> float:
+    """`value` as a finite Python float above `lo` (or at least `lo` when `above` is
+    False), else a ParameterError naming `name` and the bound.  NumPy ints and floats
+    pass; bool, str, None, complex and an int too large for a float do not."""
+    bound = "positive" if (lo, above) == (0, True) else f"{'>' if above else '>='} {lo}"
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, finite and {bound}, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int too large for a float is reported as inf
+        value = real = math.inf if value > 0 else -math.inf
+    if math.isfinite(real) and (real > lo if above else real >= lo):
+        return real
+    raise ParameterError(f"{name} must be finite and {bound}, got {value}")
 
 
 def _require_int(name: str, value, lo: int, hi: float = math.inf, why: str = "") -> int:
@@ -28,3 +39,16 @@ def _require_int(name: str, value, lo: int, hi: float = math.inf, why: str = "")
         return value
     side = f"{name} >= {lo}" if value < lo else f"{name} must be at most {hi}{why}"
     raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value} ({side})")
+
+
+def _require_bits(bits) -> np.ndarray:
+    """`bits` as a uint8 array: a 1-D array of 0/1 values (bool is fine)."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.dtype.kind not in "biuf":
+        raise ParameterError(f"bits must be a 1-D array of 0/1 values, got shape {bits.shape} "
+                             f"and dtype {bits.dtype}")
+    bad = (bits != 0) & (bits != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParameterError(f"bits must be 0 or 1, got {bits[i].item()!r} at index {i}")
+    return bits.astype(np.uint8, copy=False)

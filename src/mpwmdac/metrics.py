@@ -15,7 +15,7 @@ import numpy as np
 
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time
 from .analog import _SAMPLES_PER_SLOT, _HarmonicRoute, _ripple_lsb
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import ParameterError, _require_int, _require_real
 from .modwave import (
     DutyCode,
     Kind,
@@ -125,7 +125,7 @@ _CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex term
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
     """Classic PWM design rule f_c*T = 0.81 * sqrt(ripple / 2**n)."""
     n = _require_int("n", n, 2, 16)
-    _require_positive("ripple_lsb", ripple_lsb)
+    ripple_lsb = _require_real("ripple_lsb", ripple_lsb)
     return 0.81 * np.sqrt(ripple_lsb / (1 << n))
 
 
@@ -298,7 +298,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For
     PWM the rule-of-thumb closed form is reported alongside.
     """
-    _require_positive("ripple_target", ripple_target)
+    ripple_target = _require_real("ripple_target", ripple_target)
     _require_mpwm_family(cfg)
 
     period = cfg.period
@@ -325,8 +325,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         return (ripple, witness) if ripple <= ripple_target else None
 
     guess = float(cutoff_rule_of_thumb(cfg.n, ripple_target)) * max(1, cfg.sn)
-    if guess < _F_CT_FLOOR:  # checked first: every code would be re-evaluated there
-        raise ParameterError(f"f_cT guess {guess} lies below the search floor {_F_CT_FLOOR}")
+    _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
     lo, hi = guess, guess
     at_lo = within(lo)
     hi_within = at_lo is not None
@@ -353,7 +352,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     return CutoffResult(
         f_ct=float(lo),
         f_c_hz=float(lo / period),
-        ripple_target_lsb=float(ripple_target),
+        ripple_target_lsb=ripple_target,
         worst_duty=worst_duty,
         worst_ripple_lsb=worst_r,
         rule_of_thumb_f_ct=rule,

@@ -19,13 +19,12 @@ oracles in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import ParameterError, _require_bits, _require_int, _require_real
 
 __all__ = [
     "Kind",
@@ -65,7 +64,7 @@ class ModulatorConfig:
     (2..16), sf the splitting factor (0..n-1), f_clk the clock in Hz.
     fine_bits is the sub-clock resolution of the HR delay line (1..6) and
     must be 0 for every kind except HRMPWM.  The integers are stored as
-    Python ints.
+    Python ints and f_clk as a Python float.
     """
 
     kind: Kind
@@ -85,7 +84,7 @@ class ModulatorConfig:
         sf = _require_int("sf", self.sf, 0, n - 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sf", sf)
-        _require_positive("f_clk", self.f_clk)
+        object.__setattr__(self, "f_clk", _require_real("f_clk", self.f_clk))
         if self.kind == Kind.PWM and sf != 0:
             raise ParameterError(f"PWM requires sf=0, got sf={sf}")
         if self.kind == Kind.PCM and sf != n - 1:
@@ -162,20 +161,17 @@ def _coerce_duty(cfg: ModulatorConfig, duty: int | DutyCode) -> DutyCode:
 
 @dataclass(frozen=True, eq=False)
 class BitWaveform:
-    """One full modulation period as one 0/1 entry per clock cycle."""
+    """One full modulation period as one 0/1 entry per clock cycle, stored as uint8."""
 
     bits: np.ndarray
     f_clk: float
 
     def __post_init__(self) -> None:
-        _require_positive("f_clk", self.f_clk)
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size == 0:
-            raise ParameterError("bits must be a non-empty 1-D sequence")
-        if np.any(bits > 1):
-            raise ParameterError("bits entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-        _require_positive("period", self.period)  # bits.size / f_clk overflows for a tiny f_clk
+        object.__setattr__(self, "f_clk", _require_real("f_clk", self.f_clk))
+        object.__setattr__(self, "bits", _require_bits(self.bits))
+        if not self.bits.size:
+            raise ParameterError("bits must hold at least one cycle")
+        _require_real("period", self.period)  # bits.size / f_clk overflows for a tiny f_clk
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -204,13 +200,10 @@ class EdgeList:
     f_clk: float
 
     def __post_init__(self) -> None:
-        _require_positive("period", self.period)
-        _require_positive("f_clk", self.f_clk)
-        if not 1 <= self.period * self.f_clk < math.inf:
-            raise ParameterError(
-                "period must span a finite number of clock cycles, at least one; "
-                f"got period * f_clk = {self.period * self.f_clk}"
-            )
+        object.__setattr__(self, "period", _require_real("period", self.period))
+        object.__setattr__(self, "f_clk", _require_real("f_clk", self.f_clk))
+        _require_real("period * f_clk (a finite number of clock cycles)",
+                      self.period * self.f_clk, 1, above=False)
         times = np.asarray(self.times, dtype=float)
         risings = np.asarray(self.risings, dtype=bool)
         object.__setattr__(self, "times", times)
@@ -218,7 +211,7 @@ class EdgeList:
         if times.shape != risings.shape or times.ndim != 1:
             raise ParameterError("times and risings must be 1-D and equal length")
         if times.size:
-            if np.any(np.diff(times) <= 0):
+            if not np.all(np.diff(times) > 0):  # a NaN time fails here too
                 raise ParameterError("transition times must be strictly increasing")
             if times[0] < 0 or times[-1] >= self.period:
                 raise ParameterError("transition times must lie in [0, period)")

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _require_int
+from .errors import ParameterError, _require_bits, _require_int
 from .modwave import rearranged_counter
 
 __all__ = [
@@ -64,6 +64,16 @@ FINE_BITS = 4
 _MAX_SCRIPT_CYCLES = 1 << 22  # cycles one script may step: the bound of an analog trace
 
 
+# address: (name, read-back); the one statement of the register map
+_REGISTERS = {
+    ADDR_CTRL: ("CTRL", lambda p: (p._sf << _CTRL_SF_SHIFT) | int(p._en)),
+    ADDR_NBITS: ("NBITS", lambda p: p._n),
+    ADDR_DUTY: ("DUTY", lambda p: p._duty_shadow),
+    ADDR_HRDUTY: ("HRDUTY", lambda p: p._hrduty_shadow),
+    ADDR_STATUS: ("STATUS", lambda p: int(p.locked)),
+}
+
+
 class FaultCode(str, Enum):
     UNMAPPED_ADDRESS = "unmapped_address"
     READ_ONLY = "read_only"
@@ -87,6 +97,14 @@ def _bus_word(name: str, word: int, code: FaultCode) -> int:
         raise PeripheralFault(code, str(exc)) from None
 
 
+def _register(addr: int) -> int:
+    """A bus address of the register map, else an UNMAPPED_ADDRESS fault."""
+    addr = _bus_word("address", addr, FaultCode.UNMAPPED_ADDRESS)
+    if addr not in _REGISTERS:
+        raise PeripheralFault(FaultCode.UNMAPPED_ADDRESS, f"no register at 0x{addr:02X}")
+    return addr
+
+
 class MpwmPeripheral:
     """Single-owner stepped automaton emulating the DAC peripheral."""
 
@@ -105,7 +123,7 @@ class MpwmPeripheral:
 
     def reg_write(self, addr: int, value: int) -> None:
         value = _bus_word("value", value, FaultCode.BAD_VALUE)
-        addr = _bus_word("address", addr, FaultCode.UNMAPPED_ADDRESS)
+        addr = _register(addr)
         if addr == ADDR_CTRL:
             value &= _CTRL_EN | _CTRL_SF_MASK
             sf = (value & _CTRL_SF_MASK) >> _CTRL_SF_SHIFT
@@ -140,28 +158,11 @@ class MpwmPeripheral:
             self._duty_shadow = value & 0xFFFF
         elif addr == ADDR_HRDUTY:
             self._hrduty_shadow = value & ((1 << FINE_BITS) - 1)
-        elif addr == ADDR_STATUS:
+        else:  # STATUS, the one read-only register
             raise PeripheralFault(FaultCode.READ_ONLY, "STATUS is read-only")
-        else:
-            raise PeripheralFault(
-                FaultCode.UNMAPPED_ADDRESS, f"no register at 0x{addr:02X}"
-            )
 
     def reg_read(self, addr: int) -> int:
-        addr = _bus_word("address", addr, FaultCode.UNMAPPED_ADDRESS)
-        if addr == ADDR_CTRL:
-            return (self._sf << _CTRL_SF_SHIFT) | int(self._en)
-        if addr == ADDR_NBITS:
-            return self._n
-        if addr == ADDR_DUTY:
-            return self._duty_shadow
-        if addr == ADDR_HRDUTY:
-            return self._hrduty_shadow
-        if addr == ADDR_STATUS:
-            return int(self.locked)
-        raise PeripheralFault(
-            FaultCode.UNMAPPED_ADDRESS, f"no register at 0x{addr:02X}"
-        )
+        return _REGISTERS[_register(addr)][1](self)
 
     # -- emulation ------------------------------------------------------------
 
@@ -174,14 +175,8 @@ class MpwmPeripheral:
         return self._en and self._cycles_since_en >= LOCK_LATENCY_CYCLES
 
     def registers(self) -> dict[str, int]:
-        """Observable register state (used by fault-atomicity checks)."""
-        return {
-            "CTRL": self.reg_read(ADDR_CTRL),
-            "NBITS": self.reg_read(ADDR_NBITS),
-            "DUTY": self.reg_read(ADDR_DUTY),
-            "HRDUTY": self.reg_read(ADDR_HRDUTY),
-            "STATUS": self.reg_read(ADDR_STATUS),
-        }
+        """Observable register state by name (used by fault-atomicity checks)."""
+        return {name: read(self) for name, read in _REGISTERS.values()}
 
     def snapshot(self) -> dict[str, int]:
         """Full observable state snapshot, including internal position."""
@@ -283,19 +278,6 @@ _VCD_HEADER = (
 )
 
 
-def _checked_bits(bits: np.ndarray) -> np.ndarray:
-    """The dumps' input as uint8: a 1-D array of 0/1 values (bool is fine)."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ParameterError(f"bits must be a 1-D array of 0/1 values, got shape {bits.shape}")
-    bad = (bits != 0) & (bits != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        value = bits[i:i + 1].tolist()[0]
-        raise ParameterError(f"bits must be 0 or 1, got {value!r} at index {i}")
-    return bits.astype(np.uint8, copy=False)
-
-
 def _dump(prefix: str, values: np.ndarray, bits: np.ndarray,
           row: tuple[str, str, str], suffix: str) -> str:
     """`prefix`, then one row `head value sep bit tail` per value, then `suffix`.
@@ -344,7 +326,7 @@ def trace_to_vcd(bits: np.ndarray) -> str:
     the dump.  Edge times rise, so the rows of each digit count are one
     fixed-width byte table, built by `_dump`.
     """
-    bits = _checked_bits(bits)
+    bits = _require_bits(bits)
     edges = np.flatnonzero(np.diff(bits)) + 1
     first = "1!\n" if bits.size and bits[0] else "0!\n"
     end = f"#{10 * bits.size}\n" if bits.size else ""
@@ -358,5 +340,5 @@ def trace_to_csv(bits: np.ndarray) -> str:
     raises ParameterError.  Cycles rise by one per row, so the rows of each
     digit count are one fixed-width byte table, built by `_dump`.
     """
-    bits = _checked_bits(bits)
+    bits = _require_bits(bits)
     return _dump("cycle,out\n", np.arange(bits.size), bits, ("", ",", "\n"), "")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import ParameterError, _require_int, _require_real
 from .modwave import BitWaveform, ModulatorConfig, _slot_wave
 
 __all__ = [
@@ -38,10 +38,10 @@ __all__ = [
 class Spectrum:
     """Fourier-series coefficients a_k for harmonics k = 0..K.
 
-    `fundamental_hz` is 1/T.  `samples_per_period` is the slot count 2**n of
-    the generating waveform; it fixes the zero-order-hold envelope needed to
-    extend coefficients beyond K and to evaluate the total power in closed
-    form.
+    `fundamental_hz` is 1/T, finite and positive, and the coefficients are
+    finite.  `samples_per_period` is the slot count 2**n of the generating
+    waveform; it fixes the zero-order-hold envelope needed to extend
+    coefficients beyond K and to evaluate the total power in closed form.
     """
 
     coeffs: np.ndarray
@@ -52,6 +52,10 @@ class Spectrum:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
         if self.coeffs.size == 0:
             raise ParameterError("a spectrum needs k_max >= 0")
+        if not np.isfinite(self.coeffs).all():
+            raise ParameterError("spectrum coefficients must be finite")
+        fundamental = _require_real("fundamental_hz", self.fundamental_hz)
+        object.__setattr__(self, "fundamental_hz", fundamental)
 
     @property
     def k_max(self) -> int:
@@ -141,9 +145,8 @@ def unit_signal_coeffs(
     n = _require_int("n", n, 2, 16)
     size = 1 << n
     m = _require_int("m", m, 0, size - 1)
-    if f_clk is not None:
-        _require_positive("f_clk", f_clk)
-    fundamental = 1.0 if f_clk is None else f_clk / size
+    f_clk = float(size) if f_clk is None else _require_real("f_clk", f_clk)
+    fundamental = _require_real("f_clk / 2**n", f_clk / size)  # may underflow to 0
     coeffs = _run_coeffs(n, np.array([m]), np.array([1]), k_max)
     return Spectrum(coeffs, fundamental, size)
 
@@ -194,6 +197,7 @@ def dominant_harmonics(spec: Spectrum) -> HarmonicSummary | None:
 
     Returns NO_HARMONIC (None) when every AC coefficient is below
     `_AC_FLOOR` relative to max(DC, 1); ties resolve to the lower frequency.
+    A spectrum with AC content but zero DC is refused.
     """
     if spec.k_max < 3:
         raise ParameterError(f"need at least 3 harmonics, got k_max={spec.k_max}")
@@ -202,16 +206,17 @@ def dominant_harmonics(spec: Spectrum) -> HarmonicSummary | None:
     ac = mags[1:]
     if ac.max() <= _AC_FLOOR * max(dc, 1.0):
         return NO_HARMONIC
+    if dc == 0:
+        raise ParameterError("amplitudes over DC need a nonzero DC, got DC 0 with AC content")
     k1 = int(np.argmax(ac)) + 1
     rest = ac.copy()
     rest[k1 - 1] = -1.0
     k2 = int(np.argmax(rest)) + 1
-    norm = dc if dc > 0 else float("nan")
     return HarmonicSummary(
         k1=k1,
         f1=k1 * spec.fundamental_hz,
-        amp1_over_dc=2.0 * mags[k1] / norm,
+        amp1_over_dc=2.0 * mags[k1] / dc,
         k2=k2,
         f2=k2 * spec.fundamental_hz,
-        amp2_over_dc=2.0 * mags[k2] / norm,
+        amp2_over_dc=2.0 * mags[k2] / dc,
     )

@@ -102,6 +102,19 @@ def test_to_analog_rejects_unresolvable_edges():
         to_analog(mpwm_wave(cfg, 32), IDEAL_EDGES, 2)
 
 
+@pytest.mark.parametrize("duty, t_ramp, rate", [
+    (1, 9e-9, "1e+08"), (15, 9e-9, "1e+08"), (8, 70e-9, "1.25e+07")])
+def test_ramp_overlap_is_tested_cyclically(duty, t_ramp, rate):
+    # one pulse of a 16-cycle period at 10 ns per cycle: 11.25 ns ramps reach past
+    # the next edge inside the period (duty 1) or across its end (duty 15); an
+    # 8-cycle pulse needs ramps longer than 80 ns
+    em = EdgeModel(t_rise=t_ramp, t_fall=t_ramp)
+    with pytest.raises(ParameterError) as err:
+        to_analog(mpwm_wave(ModulatorConfig.pwm(4, f_clk=100e6), duty), em, 16)
+    assert str(err.value) == (f"edge ramps overlap; the limiting rate is {rate} Hz between "
+                              "consecutive edges (reduce t_rise/t_fall or the edge delays)")
+
+
 def test_to_analog_bounds_the_trace_length():
     wave = BitWaveform(np.zeros(1 << 16, dtype=np.uint8), 1e6)
     assert len(to_analog(wave, IDEAL_EDGES, 64)) == _MAX_TRACE_SAMPLES

@@ -1,9 +1,13 @@
-"""Input rules: every integer parameter, the kind, and the slot-only analyses.
+"""Input rules: every integer and real parameter, the bit arrays, the kind, and the
+slot-only analyses.
 
 Integer parameters take Python or NumPy ints and refuse bool, float, str and
-None with a ParameterError that names the parameter; HR-MPWM (an edge list)
-is refused by the analyses that read slots, and FONS and HR-MPWM by those
-that need nested codes.  The bus words are test_periph's.
+None with a ParameterError that names the parameter; real parameters take
+Python or NumPy ints and floats and refuse bool, str, None, complex, non-finite
+values and ints too large for a float the same way.  A bit period is a 1-D array
+of 0/1 values.  HR-MPWM (an edge list) is refused by the analyses that read
+slots, and FONS and HR-MPWM by those that need nested codes.  The bus words are
+test_periph's.
 """
 
 import json
@@ -14,7 +18,10 @@ import numpy as np
 import pytest
 
 from mpwmdac import (
+    AnalogTrace,
+    BitWaveform,
     DutyCode,
+    EdgeList,
     EdgeModel,
     FilterModel,
     Kind,
@@ -25,6 +32,7 @@ from mpwmdac import (
     decoder_states,
     dft_period,
     dnl,
+    dominant_harmonics,
     edge_count_formula,
     edge_counts_sweep,
     generate,
@@ -34,6 +42,7 @@ from mpwmdac import (
     rearranged_counter,
     required_cutoff,
     settling_time,
+    Spectrum,
     static_error,
     steady_ripple,
     superpose_coeffs,
@@ -138,6 +147,16 @@ def test_numpy_ints_give_the_bytes_of_python_ints(cfg, duty, as_numpy):
     lambda: rearranged_counter(-1, 0),  # once "negative shift count"
     lambda: unit_signal_coeffs(5, 1.0),  # once a bare IndexError
     lambda: ModulatorConfig("bogus", 5),  # once failed later with AttributeError
+    lambda: EdgeModel(t_dr=True),  # once accepted
+    lambda: EdgeModel(t_dr="1"),  # once a bare TypeError
+    lambda: FilterModel(True),  # once accepted
+    lambda: FilterModel("1e6"),  # once a bare TypeError
+    lambda: ModulatorConfig(Kind.PWM, 5, f_clk="1e6"),  # once a bare TypeError
+    lambda: ModulatorConfig(Kind.PWM, 5, f_clk=10**400),  # once a bare OverflowError
+    lambda: Spectrum([math.nan, 1, 2, 3], math.nan, 8),  # once accepted
+    lambda: dominant_harmonics(Spectrum([0, 1, 0.5, 0.2], 1.0, 8)),  # once amp1_over_dc nan
+    # once accepted, and its high_time was NaN
+    lambda: EdgeList(np.array([math.nan] * 2), np.array([True, False]), 1.0, 64.0),
 ])
 def test_probes_that_once_leaked_are_refused(probe):
     with pytest.raises(ParameterError):
@@ -151,9 +170,115 @@ def test_unit_signal_refuses_a_bad_clock(f_clk):
         unit_signal_coeffs(5, 3, f_clk=f_clk)
 
 
+def test_unit_signal_names_the_clock_when_its_fundamental_underflows():
+    # f_clk / 2**n once came back as a zero fundamental_hz
+    with pytest.raises(ParameterError, match=re.escape("f_clk / 2**n must be finite")):
+        unit_signal_coeffs(2, 1, f_clk=5e-324)
+
+
 def test_unit_signal_without_a_clock_has_a_one_second_period():
     assert unit_signal_coeffs(5, 3).fundamental_hz == 1.0
     assert unit_signal_coeffs(5, 3, f_clk=64e6).fundamental_hz == 2e6
+
+
+# -- real parameters -----------------------------------------------------------------
+
+_NO_EDGES = (np.array([]), np.array([], dtype=bool))
+_EDGE_MODEL_FIELDS = ("t_dr", "t_df", "t_rise", "t_fall", "u_s", "supply_rel_err")
+
+# (parameter name, call with the value, its bound, whether the bound is strict)
+REAL_SITES = [
+    ("f_clk", lambda v: ModulatorConfig(Kind.MPWM, 5, 1, v), 0, True),
+    ("f_clk", lambda v: BitWaveform(np.array([1, 0, 0, 0]), v), 0, True),
+    ("period", lambda v: EdgeList(*_NO_EDGES, v, 1e9), 0, True),
+    ("f_clk", lambda v: EdgeList(*_NO_EDGES, 64.0, v), 0, True),
+    *[(name, lambda v, name=name: EdgeModel(**{name: v}), 0, False)
+      for name in _EDGE_MODEL_FIELDS[:4]],
+    ("u_s", lambda v: EdgeModel(u_s=v), 0, True),
+    ("supply_rel_err", lambda v: EdgeModel(supply_rel_err=v), -1, True),
+    ("f_c", lambda v: FilterModel(v), 0, True),
+    ("sample_rate", lambda v: AnalogTrace(np.ones(4), v), 0, True),
+    ("period_s", lambda v: AnalogTrace(np.ones(4), 1.0, v), 0, True),
+    ("f_clk", lambda v: unit_signal_coeffs(5, 3, f_clk=v), 0, True),
+    ("ripple_target", lambda v: required_cutoff(ModulatorConfig.mpwm(4, 1), v), 0, True),
+    ("ripple_lsb", lambda v: cutoff_rule_of_thumb(8, v), 0, True),
+    ("band_lsb", lambda v: settling_time(_FM, band_lsb=v), 0, True),
+]
+
+
+def _bad_reals(name, lo, strict):
+    yield from ("1", True, False, np.bool_(True), 1j, np.complex128(1), math.nan, math.inf,
+                -math.inf, np.float64(math.nan), 10**400, -(10**400))
+    if name not in ("period_s", "f_clk"):  # None asks for no period or a one-second one
+        yield None
+    yield from (lo, np.int64(lo), np.float64(lo)) if strict else (lo - 1, np.nextafter(lo, -1))
+
+
+@pytest.mark.parametrize("name, call, lo, strict", REAL_SITES, ids=[
+    f"{i}-{site[0]}" for i, site in enumerate(REAL_SITES)])
+def test_every_real_site_refuses_bad_values_by_name(name, call, lo, strict):
+    for value in _bad_reals(name, lo, strict):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be"):
+            call(value)
+    for value in (lo + 0.5, np.float64(lo + 0.5), np.float32(lo + 0.5), lo + 1, np.int64(lo + 1)):
+        call(value)
+    if not strict:
+        call(lo)
+
+
+def test_real_fields_are_stored_as_python_floats():
+    stored = [ModulatorConfig(Kind.PWM, 5, f_clk=np.float32(1e6)).f_clk,
+              BitWaveform([1, 0], 1000).f_clk, FilterModel(np.int64(1000)).f_c,
+              *EdgeList(*_NO_EDGES, np.float64(1.0), 64).__dict__.values(),
+              *AnalogTrace(np.ones(4), np.float64(4.0), 1).__dict__.values(),
+              *EdgeModel(*map(np.float64, (0, 1e-9, 0, 0, 3, 0))).__dict__.values()]
+    assert all(type(v) is float for v in stored if not isinstance(v, np.ndarray))
+
+
+_FLOATS = dict(f_clk=64e6, t_dr=1e-9, t_df=0.25e-9, t_rise=0.5e-9, t_fall=0.5e-9, u_s=3.0,
+               f_c=2e5)
+_INTS = dict(f_clk=64_000_000, t_dr=0, t_df=0, t_rise=0, t_fall=0, u_s=3, f_c=200_000)
+
+
+def _tour_bytes(v):
+    cfg = ModulatorConfig(Kind.MPWM, 8, 3, v["f_clk"])
+    em = EdgeModel(*(v[name] for name in _EDGE_MODEL_FIELDS[:5]))
+    fm = FilterModel(v["f_c"])
+    wave = mpwm_wave(cfg, 77)
+    return [wave.bits.tobytes(), to_analog(wave, em, 16).samples.tobytes(),
+            *(np.float64(steady_ripple(cfg, 77, fm, method, 16)).tobytes()
+              for method in ("harmonic", "time"))]
+
+
+@pytest.mark.parametrize("values, as_type", [(_FLOATS, np.float64), (_INTS, int)])
+def test_numpy_floats_and_python_ints_give_the_bytes_of_python_floats(values, as_type):
+    assert _tour_bytes({k: as_type(v) for k, v in values.items()}) == \
+        _tour_bytes({k: float(v) for k, v in values.items()})
+
+
+# -- bit arrays -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [
+    [256, 1],  # once cast to [0, 1]
+    [0.7, 1],  # once cast to [0, 1]
+    [-1, 0],  # once a bare OverflowError
+    ["1", "0"],  # once accepted
+    [math.nan, 0],  # once a bare ValueError
+    np.array([1, 0], dtype=object),
+    np.zeros((2, 2), dtype=np.uint8),
+    np.zeros(0, dtype=np.uint8),
+], ids=["256", "0.7", "-1", "str", "nan", "object", "2d", "empty"])
+def test_bit_waveform_refuses_anything_but_a_non_empty_0_1_array(bits):
+    with pytest.raises(ParameterError, match="^bits must"):
+        BitWaveform(bits, 1e6)
+
+
+def test_bit_waveform_takes_bool_and_integral_0_1_values_as_uint8():
+    want = np.array([1, 0, 1, 1], dtype=np.uint8)
+    for bits in (want.astype(bool), want.astype(np.int64), want.astype(float), want.tolist()):
+        got = BitWaveform(bits, 1e6).bits
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
 
 
 # -- kinds each analysis refuses ----------------------------------------------------

@@ -359,6 +359,23 @@ def test_cli_periph_files_equal_per_row_format(tmp_path, capsys):
     assert (tmp_path / "periph_trace.vcd").read_bytes() == vcd_reference(bits).encode()
 
 
+def test_every_mapped_register_reads_back_its_named_value():
+    p = enabled_periph(8, 3, 100)
+    p.reg_write(ADDR_HRDUTY, 9)
+    p.step(LOCK_LATENCY_CYCLES)
+    names = {ADDR_CTRL: "CTRL", ADDR_NBITS: "NBITS", ADDR_DUTY: "DUTY",
+             ADDR_HRDUTY: "HRDUTY", ADDR_STATUS: "STATUS"}
+    assert {name: p.reg_read(addr) for addr, name in names.items()} == p.registers() == \
+        {"CTRL": 0x31, "NBITS": 8, "DUTY": 100, "HRDUTY": 9, "STATUS": 1}
+    for addr in (0x02, 0x14, 0x100):
+        with pytest.raises(PeripheralFault, match=f"no register at 0x{addr:02X}") as err:
+            p.reg_read(addr)
+        assert err.value.code == FaultCode.UNMAPPED_ADDRESS
+        with pytest.raises(PeripheralFault) as err:
+            p.reg_write(addr, 0)
+        assert err.value.code == FaultCode.UNMAPPED_ADDRESS
+
+
 def test_counter_is_built_only_by_an_enable(monkeypatch):
     builds = []
     build = periph.rearranged_counter

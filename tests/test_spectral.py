@@ -12,6 +12,7 @@ from mpwmdac import (
     ModulatorConfig,
     NO_HARMONIC,
     ParameterError,
+    Spectrum,
     dft_period,
     dominant_harmonics,
     generate,
@@ -155,6 +156,24 @@ def test_linearity_of_disjoint_slot_sums(n, data):
     bits[slots] = 1
     direct = dft_period(BitWaveform(bits, f_clk))
     assert np.max(np.abs(total - direct.coeffs)) <= 1e-12
+
+
+def test_dominant_harmonics_needs_a_dc_level_under_ac_content():
+    assert dominant_harmonics(superpose_coeffs(ModulatorConfig.mpwm(5, 2), 0)) is NO_HARMONIC
+    with pytest.raises(ParameterError, match="nonzero DC"):
+        dominant_harmonics(Spectrum([0, 1, 0.5, 0.2], 1.0, 8))  # once amp1_over_dc = nan
+
+
+@pytest.mark.parametrize("coeffs, fundamental, match", [
+    ([math.nan, 1, 2, 3], 1.0, "coefficients must be finite"),
+    ([1, math.inf, 2, 3], 1.0, "coefficients must be finite"),
+    ([1, 1, 2, 3], math.nan, "fundamental_hz must be finite and positive"),
+    ([1, 1, 2, 3], 0.0, "fundamental_hz must be finite and positive"),
+    ([1, 1, 2, 3], "1", "fundamental_hz must be"),
+])
+def test_spectrum_refuses_a_non_finite_or_zero_scale(coeffs, fundamental, match):
+    with pytest.raises(ParameterError, match=match):
+        Spectrum(coeffs, fundamental, 8)
 
 
 def test_parameter_errors():
