@@ -47,7 +47,7 @@ def _require_bits(bits) -> np.ndarray:
     if bits.ndim != 1 or bits.dtype.kind not in "biuf":
         raise ParameterError(f"bits must be a 1-D array of 0/1 values, got shape {bits.shape} "
                              f"and dtype {bits.dtype}")
-    bad = (bits != 0) & (bits != 1)
+    bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)  # one test if unsigned
     if bad.any():
         i = int(np.argmax(bad))
         raise ParameterError(f"bits must be 0 or 1, got {bits[i].item()!r} at index {i}")

@@ -129,13 +129,9 @@ class MpwmPeripheral:
             sf = (value & _CTRL_SF_MASK) >> _CTRL_SF_SHIFT
             en = bool(value & _CTRL_EN)
             if self._en and sf != self._sf:
-                raise PeripheralFault(
-                    FaultCode.CONFIG_LOCKED, "SF change rejected while enabled"
-                )
+                raise PeripheralFault(FaultCode.CONFIG_LOCKED, "SF change rejected while enabled")
             if en and sf >= self._n:
-                raise PeripheralFault(
-                    FaultCode.BAD_VALUE, f"SF={sf} must be below NBITS={self._n}"
-                )
+                raise PeripheralFault(FaultCode.BAD_VALUE, f"SF={sf} must be below NBITS={self._n}")
             starting = en and not self._en
             self._sf = sf
             self._en = en
@@ -146,20 +142,18 @@ class MpwmPeripheral:
                 self._cr = rearranged_counter(self._n, self._sf)
         elif addr == ADDR_NBITS:
             if self._en:
-                raise PeripheralFault(
-                    FaultCode.CONFIG_LOCKED, "NBITS change rejected while enabled"
-                )
+                raise PeripheralFault(FaultCode.CONFIG_LOCKED, "NBITS change rejected while enabled")
             if not 4 <= value <= 16:
-                raise PeripheralFault(
-                    FaultCode.BAD_VALUE, f"NBITS={value} outside [4, 16]"
-                )
+                raise PeripheralFault(FaultCode.BAD_VALUE, f"NBITS={value} outside [4, 16]")
             self._n = value
         elif addr == ADDR_DUTY:
             self._duty_shadow = value & 0xFFFF
         elif addr == ADDR_HRDUTY:
             self._hrduty_shadow = value & ((1 << FINE_BITS) - 1)
-        else:  # STATUS, the one read-only register
+        elif addr == ADDR_STATUS:
             raise PeripheralFault(FaultCode.READ_ONLY, "STATUS is read-only")
+        else:  # a register of _REGISTERS with no write rule above is a bug, not a bus fault
+            raise NotImplementedError(f"no write rule for register 0x{addr:02X}")
 
     def reg_read(self, addr: int) -> int:
         return _REGISTERS[_register(addr)][1](self)

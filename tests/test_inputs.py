@@ -268,7 +268,9 @@ def test_numpy_floats_and_python_ints_give_the_bytes_of_python_floats(values, as
     np.array([1, 0], dtype=object),
     np.zeros((2, 2), dtype=np.uint8),
     np.zeros(0, dtype=np.uint8),
-], ids=["256", "0.7", "-1", "str", "nan", "object", "2d", "empty"])
+    np.array([0, 2], dtype=np.uint8),
+    np.array([256, 1], dtype=np.uint16),
+], ids=["256", "0.7", "-1", "str", "nan", "object", "2d", "empty", "uint8-2", "uint16-256"])
 def test_bit_waveform_refuses_anything_but_a_non_empty_0_1_array(bits):
     with pytest.raises(ParameterError, match="^bits must"):
         BitWaveform(bits, 1e6)

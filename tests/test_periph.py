@@ -376,6 +376,17 @@ def test_every_mapped_register_reads_back_its_named_value():
         assert err.value.code == FaultCode.UNMAPPED_ADDRESS
 
 
+def test_a_mapped_register_without_a_write_rule_is_not_taken_for_status(monkeypatch):
+    monkeypatch.setitem(periph._REGISTERS, 0x14, ("SPARE", lambda p: 0))
+    p = MpwmPeripheral()
+    assert p.reg_read(0x14) == 0
+    with pytest.raises(NotImplementedError, match="no write rule for register 0x14"):
+        p.reg_write(0x14, 1)
+    with pytest.raises(PeripheralFault, match="STATUS is read-only") as err:
+        p.reg_write(ADDR_STATUS, 1)
+    assert err.value.code == FaultCode.READ_ONLY
+
+
 def test_counter_is_built_only_by_an_enable(monkeypatch):
     builds = []
     build = periph.rearranged_counter
