@@ -4,8 +4,8 @@ Digital periods become piecewise-linear voltage traces under a trapezoid
 edge model, then pass through a second-order Butterworth low-pass filter.
 Filtering uses closed-form state propagation over the piecewise-linear
 input (no fixed-step integration error), which keeps the DC-preservation
-and ripple invariants testable at machine precision.  The module needs
-numpy and `scipy.linalg.expm` only.
+and ripple invariants testable at machine precision.  Only the time-domain
+filter needs `scipy.linalg.expm`; it imports it on its first call.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import ParameterError, _require_int, _require_real
+from .errors import ParameterError, _require_array, _require_int, _require_real
 from .modwave import (
     BitWaveform,
     DutyCode,
@@ -141,7 +140,7 @@ class AnalogTrace:
     period_s: float | None = None
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _require_array("samples", self.samples, float)
         if samples.ndim != 1 or not samples.size:
             raise ParameterError(
                 f"a trace needs a 1-D array of at least one sample, got shape {samples.shape}"
@@ -268,6 +267,8 @@ def _foh_states(a: np.ndarray, b: np.ndarray, dt: float, u: np.ndarray, x0) -> n
     preallocated array: the rounding is still the numpy matmul kernel's,
     which a scalar loop would not reproduce.
     """
+    from scipy.linalg import expm  # only the time-domain filter needs scipy
+
     n = a.shape[0]
     m = np.zeros((n + 2, n + 2))
     m[:n, :n] = a * dt
@@ -300,6 +301,8 @@ def filter_response(
     x* = Phi_T x* + forced response).  The output equals that of
     `scipy.signal.lsim(..., interp=True)` bit for bit.
     """
+    from scipy.linalg import expm  # only the time-domain filter needs scipy
+
     a, b, c = fm.state_space()
     u = trace.samples
     dt = 1.0 / trace.sample_rate

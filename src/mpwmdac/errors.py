@@ -41,14 +41,27 @@ def _require_int(name: str, value, lo: int, hi: float = math.inf, why: str = "")
     raise ParameterError(f"{name} must be in [{lo}, {hi}], got {value} ({side})")
 
 
-def _require_bits(bits) -> np.ndarray:
-    """`bits` as a uint8 array: a 1-D array of 0/1 values (bool is fine)."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.dtype.kind not in "biuf":
-        raise ParameterError(f"bits must be a 1-D array of 0/1 values, got shape {bits.shape} "
-                             f"and dtype {bits.dtype}")
+def _require_array(name: str, value, dtype=None) -> np.ndarray:
+    """`value` as a NumPy array of real numbers (complex ones too when `dtype` is complex),
+    cast to `dtype` when given, else a ParameterError naming `name`.  A ragged sequence and
+    an array of str or objects are refused."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise ParameterError(f"{name} must be an array of numbers, got a ragged sequence") from None
+    if array.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise ParameterError(f"{name} must be an array of numbers, got dtype {array.dtype}")
+    return array if dtype is None else array.astype(dtype, copy=False)
+
+
+def _require_bits(bits, name: str = "bits") -> np.ndarray:
+    """`bits` as a uint8 array: a 1-D array of 0/1 values (bool is fine), else a
+    ParameterError naming `name`."""
+    bits = _require_array(name, bits)
+    if bits.ndim != 1:
+        raise ParameterError(f"{name} must be a 1-D array of 0/1 values, got shape {bits.shape}")
     bad = bits > 1 if bits.dtype.kind in "bu" else (bits != 0) & (bits != 1)  # one test if unsigned
     if bad.any():
         i = int(np.argmax(bad))
-        raise ParameterError(f"bits must be 0 or 1, got {bits[i].item()!r} at index {i}")
+        raise ParameterError(f"{name} must be 0 or 1, got {bits[i].item()!r} at index {i}")
     return bits.astype(np.uint8, copy=False)

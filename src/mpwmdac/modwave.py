@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _require_bits, _require_int, _require_real
+from .errors import ParameterError, _require_array, _require_bits, _require_int, _require_real
 
 __all__ = [
     "Kind",
@@ -204,8 +204,8 @@ class EdgeList:
         object.__setattr__(self, "f_clk", _require_real("f_clk", self.f_clk))
         _require_real("period * f_clk (a finite number of clock cycles)",
                       self.period * self.f_clk, 1, above=False)
-        times = np.asarray(self.times, dtype=float)
-        risings = np.asarray(self.risings, dtype=bool)
+        times = _require_array("times", self.times, float)
+        risings = _require_bits(self.risings, "risings").astype(bool)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "risings", risings)
         if times.shape != risings.shape or times.ndim != 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_real
+from .errors import ParameterError, _require_array, _require_int, _require_real
 from .modwave import BitWaveform, ModulatorConfig, _slot_wave
 
 __all__ = [
@@ -49,7 +49,7 @@ class Spectrum:
     samples_per_period: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        object.__setattr__(self, "coeffs", _require_array("coeffs", self.coeffs, complex))
         if self.coeffs.size == 0:
             raise ParameterError("a spectrum needs k_max >= 0")
         if not np.isfinite(self.coeffs).all():

@@ -253,15 +253,48 @@ def test_settling_bisection_matches_brentq():
         assert t == pytest.approx(_brentq_settling(fm, step, band, n_bits), rel=1e-11)
 
 
-def test_import_leaves_scipy_signal_and_optimize_unloaded():
+def _run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package's source."""
     src = str(Path(mpwmdac.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys, mpwmdac, mpwmdac.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    assert _run_fresh("import sys, mpwmdac, mpwmdac.cli; print(sorted(m for m in "
+                      "('scipy.linalg', 'scipy.signal', 'scipy.optimize') if m in sys.modules))"
+                      ) == "[]"
+
+
+def test_only_the_time_domain_filter_loads_scipy_linalg(tmp_path):
+    (tmp_path / "prog.txt").write_text("write 0x04 6\nwrite 0x08 20\nwrite 0x00 0x21\nstep 1100\n")
+    commands = [
+        ["gen", "--kind", "mpwm", "--n", "6", "--sf", "2", "--duty", "17", "--trace"],
+        ["spectrum", "--kind", "pcm", "--n", "6", "--duty", "5"],
+        ["metrics", "--kind", "mpwm", "--n", "6", "--sf", "2", "--fc", "1MHz",
+         "--ripple-target", "0.5"],
+        ["cutoff", "--kind", "mpwm", "--n", "8", "--sf", "3"],
+        ["settle", "--fc", "100kHz", "--response-table"],
+        ["periph", "--script", str(tmp_path / "prog.txt")],
+        ["repro", "--figure", "settling", "--n-list", "6", "--sf-list", "0", "2"],
+    ]
+    code = f"""
+import contextlib, io, sys
+from mpwmdac import FilterModel, ModulatorConfig, filter_response, mpwm_wave, to_analog
+from mpwmdac.cli import main
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", {str(tmp_path)!r}])
+    print(argv[0], rc, "scipy.linalg" in sys.modules)
+cfg = ModulatorConfig.mpwm(6, 2)
+filter_response(to_analog(mpwm_wave(cfg, 17), oversample=4), FilterModel(0.1 / cfg.period))
+print("filter_response", "scipy.linalg" in sys.modules)
+"""
+    assert _run_fresh(code).splitlines() == [
+        *(f"{argv[0]} 0 False" for argv in commands), "filter_response True"]
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,10 @@ slot-only analyses.
 Integer parameters take Python or NumPy ints and refuse bool, float, str and
 None with a ParameterError that names the parameter; real parameters take
 Python or NumPy ints and floats and refuse bool, str, None, complex, non-finite
-values and ints too large for a float the same way.  A bit period is a 1-D array
-of 0/1 values.  HR-MPWM (an edge list) is refused by the analyses that read
-slots, and FONS and HR-MPWM by those that need nested codes.  The bus words are
-test_periph's.
+values and ints too large for a float the same way.  An array must be numeric,
+and a bit array is a 1-D array of 0/1 values.  HR-MPWM (an edge list) is refused
+by the analyses that read slots, and FONS and HR-MPWM by those that need nested
+codes.  The bus words are test_periph's.
 """
 
 import json
@@ -51,7 +51,7 @@ from mpwmdac import (
     worst_steady_ripple,
 )
 from mpwmdac.cli import main
-from mpwmdac.periph import MpwmPeripheral
+from mpwmdac.periph import MpwmPeripheral, trace_to_csv
 from mpwmdac.spectral import _K_MAX_LIMIT
 
 _MPWM = ModulatorConfig.mpwm(5, 1)
@@ -281,6 +281,33 @@ def test_bit_waveform_takes_bool_and_integral_0_1_values_as_uint8():
     for bits in (want.astype(bool), want.astype(np.int64), want.astype(float), want.tolist()):
         got = BitWaveform(bits, 1e6).bits
         assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
+# -- arrays -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: BitWaveform([[1], [0, 1]], 1e6), "^bits must be an array of numbers, got a ragged"),
+    (lambda: trace_to_csv([[1], [0, 1]]), "^bits must be an array of numbers, got a ragged"),
+    (lambda: EdgeList(["a", "b"], [True, False], 1.0, 64.0), "^times must be an array of numbers"),
+    (lambda: AnalogTrace(["a"], 1.0), "^samples must be an array of numbers"),
+    (lambda: Spectrum(["a"], 1.0, 8), "^coeffs must be an array of numbers"),
+    (lambda: EdgeList([0.1, 0.2], [2, 0], 1.0, 64.0), "^risings must be 0 or 1, got 2"),
+    (lambda: EdgeList([0.1, 0.2], [[1, 0]], 1.0, 64.0), r"^risings must be a 1-D .* shape \(1, 2\)"),
+], ids=["bits-ragged", "dump-ragged", "times-str", "samples-str", "coeffs-str", "risings-2",
+        "risings-2d"])
+def test_arrays_refuse_ragged_non_numeric_and_non_bit_input(call, match):
+    # the first four once leaked a bare ValueError, coeffs-str too; risings-2 was accepted
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
+def test_edge_list_takes_lists_as_float_times_and_bool_risings():
+    edges = EdgeList([0, 0.25], [1, 0], 1.0, 64.0)
+    want = EdgeList(np.array([0.0, 0.25]), np.array([True, False]), 1.0, 64.0)
+    assert edges.times.dtype == float and edges.risings.dtype == bool
+    assert edges.times.tobytes() == want.times.tobytes()
+    assert edges.risings.tobytes() == want.risings.tobytes()
 
 
 # -- kinds each analysis refuses ----------------------------------------------------

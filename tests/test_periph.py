@@ -1,5 +1,7 @@
 """Peripheral emulation tests: stream equivalence, buffering, fault atomicity."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -399,3 +401,53 @@ def test_counter_is_built_only_by_an_enable(monkeypatch):
     run_script("step 10\nwrite 0x04 8\nwrite 0x00 0x21\nstep 10\n"
                "write 0x00 0x20\nwrite 0x00 0x31\nstep 10\n")
     assert builds == [(8, 2), (8, 3)]
+
+
+_ADDRESSES = [ADDR_CTRL, ADDR_NBITS, ADDR_DUTY, ADDR_HRDUTY, ADDR_STATUS, 0x02, 0x14, 0xFFFF]
+
+
+def _writes(addresses, words):
+    return st.builds(lambda addr, word, fmt: f"write {hex(addr)} {fmt(word)}",
+                     st.sampled_from(addresses), words, st.sampled_from([str, hex]))
+
+
+_ENABLE = st.builds(  # a valid enable sequence, so that some scripts reach the locked output
+    lambda n, duty, sf: [f"write 0x04 {n}", f"write 0x08 {duty}", f"write 0x00 {hex(sf << 4 | 1)}"],
+    st.integers(4, 8), st.integers(0, 0xFFFF), st.integers(0, 3))
+_SAFE = st.one_of(  # lines that never fault
+    st.builds("step {}".format, st.integers(1, 1 << 11)),  # one cycle to eight n=8 periods
+    _writes([ADDR_DUTY, ADDR_HRDUTY], st.integers(0, 0xFFFF)),
+    st.builds("read {}".format, st.sampled_from(sorted(periph._REGISTERS)).map(hex)),
+)
+_ANY = st.one_of(  # any address, in-range and out-of-range words, and syntax errors
+    _writes(_ADDRESSES, st.integers(0, 0xFF) | st.integers(-2, 0x1FFFF)),
+    st.builds("read {}".format, st.sampled_from(_ADDRESSES).map(hex)),
+    st.sampled_from(["step 0", "write 0x08", "read", "nop 1", "write 0x08 zz"]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_register_program_ends_in_dumps_a_fault_or_a_parameter_error(tmp_path_factory, data):
+    lines = [*data.draw(st.just([]) | _ENABLE), *data.draw(st.lists(_SAFE, max_size=10))]
+    for line in data.draw(st.lists(_ANY, max_size=2)):
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    text = "\n".join(lines) + "\n"
+    out = tmp_path_factory.mktemp("periph")
+    (out / "prog.txt").write_text(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(["periph", "--script", str(out / "prog.txt"), "--out", str(out)])
+    dumps = sorted(p.name for p in out.iterdir() if p.name != "prog.txt")
+    if rc == 0:
+        bits = run_script(text).bits
+        assert json.loads(stdout.getvalue())["cycles"] == bits.size
+        assert (out / "periph_trace.csv").read_bytes() == csv_reference(bits).encode()
+        assert (out / "periph_trace.vcd").read_bytes() == vcd_reference(bits).encode()
+        return
+    record = json.loads(stderr.getvalue())
+    assert dumps == [] and stdout.getvalue() == ""
+    if rc == 1:
+        assert FaultCode(record["error"]) and record["detail"].startswith("line ")
+    else:
+        assert (rc, record["error"]) == (2, "parameter_error")
