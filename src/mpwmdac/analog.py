@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -118,9 +119,15 @@ class FilterModel:
         return a, b, c
 
     def freq_response(self, f_hz) -> np.ndarray:
-        """Complex H at frequency f_hz (array ok)."""
-        x = np.asarray(f_hz, dtype=float) / self.f_c
-        return 1.0 / ((1.0 - x * x) + 1j * np.sqrt(2.0) * x)
+        """Complex H at frequency f_hz (array ok).  Where (f_hz / f_c)**2
+        overflows, |H| is below every float and H is its limit, 0."""
+        with np.errstate(over="ignore"):
+            x = np.asarray(f_hz, dtype=float) / self.f_c
+            x2 = x * x
+        if x2.max(initial=0.0) == np.inf:
+            far = np.isinf(x2)
+            return np.where(far, 0j, self.freq_response(np.where(far, 0.0, f_hz)))[()]
+        return 1.0 / ((1.0 - x2) + 1j * np.sqrt(2.0) * x)
 
     def unit_step(self, t) -> np.ndarray:
         """Closed-form unit step response (0 for t < 0)."""
@@ -255,37 +262,59 @@ def dc_average(
     return _ideal_fraction(cfg, duty) * em.u_s + pulses * em.dw * cfg.f_clk * u_lsb
 
 
-def _foh_states(a: np.ndarray, b: np.ndarray, dt: float, u: np.ndarray, x0) -> np.ndarray:
-    """States at the samples of the piecewise-linear input u, from x0 at sample 0.
-
-    This is the first-order-hold recurrence of `scipy.signal.lsim(...,
-    interp=True)` with the same arithmetic, so the states match it bit for
-    bit: e = expm(M.T) of the block matrix [[A dt, B dt, 0], [0, 0, 1],
-    [0, 0, 0]], then x[i+1] = (x[i] @ Ad + u[i] Bd0) + u[i+1] Bd1 with Ad,
-    Bd1 and Bd0 read from e as lsim reads them.  Each step writes its
-    matmul on lsim's strided view `ad` straight into the next row of one
-    preallocated array: the rounding is still the numpy matmul kernel's,
-    which a scalar loop would not reproduce.
-    """
+def _expm_finite(m: np.ndarray, fm: FilterModel, span: str, seconds: float) -> np.ndarray:
+    """expm(m) for m holding A * seconds, refused unless finite: it overflows
+    past about omega_c * seconds = 1e35, well inside FilterModel's bound."""
     from scipy.linalg import expm  # only the time-domain filter needs scipy
 
-    n = a.shape[0]
-    m = np.zeros((n + 2, n + 2))
-    m[:n, :n] = a * dt
-    m[:n, n : n + 1] = b * dt
-    m[n, n + 1] = 1.0
-    e = expm(m.T)
-    ad = e[:n, :n]
-    bd1 = e[n + 1, :n]
-    bd0 = e[n, :n] - bd1
-    states = np.empty((u.size, n))
-    states[0] = x0
+    e = expm(m)
+    if not np.isfinite(e).all():
+        raise ParameterError(
+            f"f_c = {fm.f_c} Hz is too high for this trace: the filter's discretization "
+            f"overflows at omega_c*{span} = {fm.omega_c * seconds:.3g}"
+        )
+    return e
+
+
+def _foh_states(ad: np.ndarray, bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray,
+                states: np.ndarray) -> None:
+    """Fill states[1:] with the states at the samples of the piecewise-linear
+    input u, from the state in states[0].
+
+    This is the first-order-hold recurrence of `scipy.signal.lsim(...,
+    interp=True)`, x[i+1] = (x[i] @ Ad + u[i] Bd0) + u[i+1] Bd1, with lsim's
+    Ad, Bd0 and Bd1 and its arithmetic, so the states equal lsim's bit for bit
+    (up to the sign of an exact zero):
+
+    - x[i] @ Ad stays one BLAS gemv per step, written straight into the next
+      row.  The kernel rounds a 2-vector product as fma(x1, a1, x0 * a0),
+      which a loop over Python floats cannot reproduce.
+    - The steps fall into runs over which the pair (u[i], u[i+1]) is
+      constant, and each run computes q = u[i] Bd0 and r = u[i+1] Bd1 once.
+    - In an idle run, u[i] = u[i+1] = 0, q and r are signed zeros, and those
+      two adds are dropped.  Adding a zero returns a nonzero float unchanged,
+      and no nonzero value depends on the sign of a zero, so only the sign of
+      an exact-zero state could differ from lsim's, which np.array_equal and
+      every float comparison ignore.
+    """
+    if u.size < 2:
+        return
+    firsts = np.flatnonzero((u[1:-1] != u[:-2]) | (u[2:] != u[1:-1])) + 1
+    firsts = np.concatenate(([0], firsts))  # each run's first step
+    lengths = np.diff(firsts, append=u.size - 1).tolist()
     # a one-term matmul u[i] @ Bd is the plain product, so q and r are exact
-    for x, nxt, q, r in zip(states, states[1:], u[:-1, None] * bd0, u[1:, None] * bd1):
-        np.matmul(x, ad, out=nxt)
-        nxt += q
-        nxt += r
-    return states
+    qs = u[firsts, None] * bd0
+    rs = u[firsts + 1, None] * bd1
+    idle = ((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist()
+    x = states[0]
+    rows = iter(states[1:])
+    for n, q, r, skip in zip(lengths, qs, rs, idle):
+        for nxt in islice(rows, n):
+            x.dot(ad, nxt)  # the method skips np.dot's dispatch
+            if not skip:
+                nxt += q
+                nxt += r
+            x = nxt
 
 
 def filter_response(
@@ -299,22 +328,32 @@ def filter_response(
     one period of a periodic input and the returned period is the exact
     periodic steady state (initial condition solved from
     x* = Phi_T x* + forced response).  The output equals that of
-    `scipy.signal.lsim(..., interp=True)` bit for bit.
+    `scipy.signal.lsim(..., interp=True)` bit for bit, up to the sign of an
+    exact zero (see `_foh_states`).  A cutoff whose discretization overflows
+    is refused.
     """
-    from scipy.linalg import expm  # only the time-domain filter needs scipy
-
     a, b, c = fm.state_space()
-    u = trace.samples
+    size = trace.samples.size
     dt = 1.0 / trace.sample_rate
+    # lsim's first-order hold: e = expm(M.T) of the block matrix
+    # [[A dt, B dt, 0], [0, 0, 1], [0, 0, 0]], read as lsim reads it
+    n = a.shape[0]
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = a * dt
+    m[:n, n : n + 1] = b * dt
+    m[n, n + 1] = 1.0
+    e = _expm_finite(m.T, fm, "dt", dt)
+    ad = np.ascontiguousarray(e[:n, :n])  # rounds as lsim's strided view, at less call cost
+    bd1 = e[n + 1, :n]
+    bd0 = e[n, :n] - bd1
+    u = np.concatenate([trace.samples, trace.samples[:1]]) if steady_state else trace.samples
+    states = np.zeros((u.size, n))
     if steady_state:
-        u_closed = np.concatenate([u, u[:1]])
-        x_forced = _foh_states(a, b, dt, u_closed, np.zeros(2))[-1]
-        phi = expm(a * (u.size * dt))
-        x_star = np.linalg.solve(np.eye(2) - phi, x_forced)
-        x = _foh_states(a, b, dt, u_closed, x_star)[: u.size]
-    else:
-        x = _foh_states(a, b, dt, u, np.zeros(2))
-    return AnalogTrace(x @ c[0], trace.sample_rate, trace.period_s)
+        phi = _expm_finite(a * (size * dt), fm, "T", size * dt)
+        _foh_states(ad, bd0, bd1, u, states)  # from the zero state to x_forced = states[-1]
+        states[0] = np.linalg.solve(np.eye(n) - phi, states[-1])
+    _foh_states(ad, bd0, bd1, u, states)
+    return AnalogTrace(states[:size] @ c[0], trace.sample_rate, trace.period_s)
 
 
 _SAMPLES_PER_SLOT = 16  # the harmonic route reads each filtered period on this grid

@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import mpwmdac
 from mpwmdac import (
     AnalogTrace,
     BitWaveform,
+    DutyCode,
     EdgeModel,
     FilterModel,
     IDEAL_EDGES,
@@ -178,6 +181,7 @@ def _lsim_response(trace, fm, steady_state):
 
 
 _SLOW_EDGES = EdgeModel(t_dr=0.3e-9, t_df=0.1e-9, t_rise=0.5e-9, t_fall=0.6e-9)
+_LATE_EDGES = EdgeModel(t_dr=2e-9, t_df=2e-9, t_rise=0.0, t_fall=0.0)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +193,15 @@ _SLOW_EDGES = EdgeModel(t_dr=0.3e-9, t_df=0.1e-9, t_rise=0.5e-9, t_fall=0.6e-9)
         (ModulatorConfig.mpwm(12, 5), 2049, 4, _SLOW_EDGES, 0.003),
         (ModulatorConfig.pcm(6), 0, 8, IDEAL_EDGES, 0.01),  # lsim's zero-input branch
         (ModulatorConfig.pcm(10), 513, 4, _SLOW_EDGES, 0.1),
+        # rises 2 ns late and ends low: pass 1 opens with an idle run from the zero state
+        (ModulatorConfig.mpwm(6, 2), 17, 16, _LATE_EDGES, 0.1),
+        (ModulatorConfig.pwm(6), 63, 16, _SLOW_EDGES, 0.1),  # one long high run
+        (ModulatorConfig.fons(6), 21, 16, _SLOW_EDGES, 0.05),  # ramps off the grid
+        (ModulatorConfig.hr_mpwm(8, 2, 3), DutyCode(77, 5), 16, _SLOW_EDGES, 0.05),  # EdgeList
+        (ModulatorConfig.mpwm(6, 2), 17, 128, _SLOW_EDGES, 0.1),
+        (ModulatorConfig.pwm(8), 128, 8, IDEAL_EDGES, 2.0),  # the state settles inside a run
+        # Ad underflows to 0: exact-zero states under the dropped adds
+        (ModulatorConfig.mpwm(6, 2), 17, 8, _SLOW_EDGES, 6.4e23),
     ],
     ids=lambda v: getattr(getattr(v, "kind", None), "value", None),
 )
@@ -203,6 +216,14 @@ def test_filter_response_is_lsim_bit_for_bit(cfg, duty, oversample, em, f_ct):
 def test_filter_rejects_an_empty_trace():
     with pytest.raises(ParameterError, match="at least one sample"):
         filter_response(AnalogTrace(np.zeros(0), 1e6), FilterModel(1e3))
+
+
+def test_filter_of_one_sample_takes_no_step():
+    trace = AnalogTrace(np.array([0.7]), 1e6)
+    assert filter_response(trace, FilterModel(1e4)).samples.tolist() == [0.0]
+    # the closed period is the constant 0.7, whose steady state is 0.7
+    out = filter_response(trace, FilterModel(1e4), steady_state=True).samples
+    assert out.shape == (1,) and out[0] == pytest.approx(0.7, rel=1e-9)
 
 
 @pytest.mark.parametrize("args, match", [
@@ -325,6 +346,37 @@ def test_filter_takes_the_cutoffs_at_its_bounds():
     for f_c in (2.1e153, 2.4e-155):
         a, b, _ = FilterModel(f_c).state_space()
         assert np.isfinite(a).all() and b[1, 0] >= np.finfo(float).smallest_normal
+
+
+@pytest.mark.parametrize("f_c, steady_state, span", [
+    (1e45, False, "dt"), (1e45, True, "dt"), (1e42, True, "T")])
+def test_filter_refuses_a_cutoff_whose_discretization_overflows(f_c, steady_state, span):
+    # expm(M.T) is not finite past about omega_c*dt = 1e35 and expm(A T) past about
+    # omega_c*T = 1e36, inside FilterModel's bound; the refusal once read "trace
+    # samples must be finite", raised from the output trace
+    cfg = ModulatorConfig.mpwm(6, 2)
+    trace = to_analog(mpwm_wave(cfg, 17), IDEAL_EDGES, 8)
+    assert np.isfinite(filter_response(trace, FilterModel(1e40), steady_state).samples).all()
+    match = re.escape(f"f_c = {f_c} Hz") + rf".*omega_c\*{span} = "
+    with pytest.raises(ParameterError, match=match):
+        filter_response(trace, FilterModel(f_c), steady_state)
+    with pytest.raises(ParameterError, match=match):
+        steady_ripple(cfg, 17, FilterModel(f_c), method="time", oversample=8)
+
+
+def test_freq_response_takes_its_zero_limit_without_a_warning():
+    # (f/f_c)**2 overflows past f = 1.3e154 f_c, and FilterModel takes f_c down to
+    # 2.4e-155 Hz; the square once leaked "overflow encountered in multiply"
+    fm = FilterModel(1e3)
+    f = np.array([0.0, 1e3, -7e4, 1e157, 1e158, -1e200, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = fm.freq_response(f)
+        assert fm.freq_response(1e300) == 0
+        assert steady_ripple(ModulatorConfig.mpwm(6, 2), 17, FilterModel(1e-150)) == 0.0
+    x = f[:4] / fm.f_c
+    assert h[:4].tobytes() == (1.0 / ((1.0 - x * x) + 1j * np.sqrt(2.0) * x)).tobytes()
+    assert h[3] != 0 and not h[4:].any()
 
 
 def test_filter_transient_approaches_steady_state():
