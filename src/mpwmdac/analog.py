@@ -120,11 +120,15 @@ class FilterModel:
 
     def freq_response(self, f_hz) -> np.ndarray:
         """Complex H at frequency f_hz (array ok).  Where (f_hz / f_c)**2
-        overflows, |H| is below every float and H is its limit, 0."""
+        overflows, +-inf included, |H| is below every float and H is its
+        limit, 0.  A NaN frequency is refused."""
         with np.errstate(over="ignore"):
             x = np.asarray(f_hz, dtype=float) / self.f_c
             x2 = x * x
-        if x2.max(initial=0.0) == np.inf:
+        peak = x2.max(initial=0.0)  # NaN if any f_hz is NaN
+        if np.isnan(peak):
+            raise ParameterError("f_hz must be a number or +-inf, got NaN")
+        if peak == np.inf:
             far = np.isinf(x2)
             return np.where(far, 0j, self.freq_response(np.where(far, 0.0, f_hz)))[()]
         return 1.0 / ((1.0 - x2) + 1j * np.sqrt(2.0) * x)

@@ -17,6 +17,7 @@ zero-order-hold bin correction, giving an independent numeric cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -111,27 +112,59 @@ class HarmonicSummary:
 # Sentinel returned when a spectrum has no AC content at all.
 NO_HARMONIC = None
 _AC_FLOOR = 1e-12  # AC magnitudes at or below this share of max(DC, 1) count as none
-_CHUNK_TERMS = 1 << 20  # k x run terms summed at once; bounds the working memory
-_K_MAX_LIMIT = _CHUNK_TERMS - 1  # so one run's k column fits one chunk: memory stays bounded
+_TILE_TERMS = 1 << 16  # k x run terms per tile: about 1 MiB per complex temporary
+_TILE_RUNS = 1 << 8  # about the runs per tile, and per gemv sum, once k_max >= 255
+# Its own bound on the k grid, not a tile's: the output is 16 bytes a
+# harmonic, so the cap holds one call's output to 16 MiB, and a huge k_max
+# is refused before anything is allocated.
+_K_MAX_LIMIT = (1 << 20) - 1
+
+
+@cache
+def _roots(n: int) -> np.ndarray:
+    """The 2N roots of unity exp(-j pi i / N), i = 0..2N-1, for N = 2**n.
+
+    Read-only and kept per n: at most 4 MiB over n = 2..16."""
+    size = 1 << n
+    roots = np.exp(-1j * np.pi / size * np.arange(2 * size))
+    roots.flags.writeable = False
+    return roots
+
+
+def _block(total: int, most: int) -> int:
+    """Length of the equal blocks that cover range(total), each at most `most`."""
+    return -(-total // -(-total // most))
 
 
 def _run_coeffs(n: int, starts: np.ndarray, widths: np.ndarray, k_max: int | None) -> np.ndarray:
     """Sum of rectangle coefficients over runs (starts, widths) for k = 0..k_max.
 
     k_max defaults to N/2.  The phase index k (2 s + w) is reduced mod 2N in
-    integers before it picks its root of unity, so the phase is exact at every
-    k and a_0 sums w/N exactly.
+    integers (a mask, 2N being a power of two) before it picks its root of
+    unity, so the phase is exact at every k and a_0 sums w/N exactly.  The
+    k x run terms are summed in tiles of at most `_TILE_TERMS`, split over
+    the harmonics and the runs, so the working memory does not grow with
+    k_max or the run count.  sinc is evaluated once per harmonic and distinct
+    width, at most sqrt(2N) widths since the runs fit in N slots, and
+    gathered into each tile's run columns.
     """
     size = 1 << n
     k_max = _require_int("k_max", size // 2 if k_max is None else k_max, 0, _K_MAX_LIMIT)
-    k = np.arange(k_max + 1)
-    roots = np.exp(-1j * np.pi / size * np.arange(2 * size))
-    coeffs = np.zeros(k.size, dtype=complex)
-    step = _CHUNK_TERMS // k.size
-    for i in range(0, starts.size, step):
-        s, w = starts[i : i + step], widths[i : i + step]
-        terms = np.sinc(np.outer(k, w) / size) * roots[np.outer(k, 2 * s + w) % (2 * size)]
-        coeffs += terms @ (w / size)
+    coeffs = np.zeros(k_max + 1, dtype=complex)
+    if not starts.size:
+        return coeffs
+    roots = _roots(n)
+    distinct, column = np.unique(widths, return_inverse=True)
+    phase, weight = 2 * starts + widths, widths / size
+    k_step = _block(k_max + 1, _TILE_TERMS // min(starts.size, _TILE_RUNS))
+    run_step = _block(starts.size, _TILE_TERMS // k_step)
+    for k0 in range(0, k_max + 1, k_step):
+        k = np.arange(k0, min(k0 + k_step, k_max + 1))
+        sinc = np.sinc(np.outer(k, distinct) / size)
+        for i in range(0, starts.size, run_step):
+            runs = slice(i, i + run_step)
+            terms = sinc[:, column[runs]] * roots[np.outer(k, phase[runs]) & (2 * size - 1)]
+            coeffs[k0 : k0 + k.size] += terms @ weight[runs]
     return coeffs
 
 

@@ -379,6 +379,17 @@ def test_freq_response_takes_its_zero_limit_without_a_warning():
     assert h[3] != 0 and not h[4:].any()
 
 
+@pytest.mark.parametrize("f_hz", [np.nan, [1e3, np.nan], [np.inf, np.nan, -np.inf]])
+def test_freq_response_refuses_a_nan_frequency(f_hz):
+    # it once returned nan+nanj with "invalid value encountered in divide"
+    fm = FilterModel(1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"f_hz must be a number or \+-inf, got NaN"):
+            fm.freq_response(f_hz)
+        assert not fm.freq_response([np.inf, -np.inf]).any()
+
+
 def test_filter_transient_approaches_steady_state():
     fm = FilterModel(2e3)
     rate = 1e6

@@ -20,6 +20,7 @@ from mpwmdac import (
     superpose_coeffs,
     unit_signal_coeffs,
 )
+from mpwmdac.spectral import _K_MAX_LIMIT, _TILE_TERMS
 
 
 def test_unit_dc_is_one_over_32():
@@ -187,21 +188,57 @@ def test_parameter_errors():
         dominant_harmonics(unit_signal_coeffs(5, 0, k_max=2))
 
 
+def _traced(build):
+    """build() and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The 2N-root table (2 MiB at n = 16) plus one tile's temporaries, each at
+# most _TILE_TERMS terms of at most 16 bytes: 2**20-term chunks took 50 MB.
+_TILE_BYTES = 8 * 16 * _TILE_TERMS
+
+
 @pytest.mark.parametrize("cfg, duty", [
     (ModulatorConfig.mpwm(16, 3), 30001),  # 8 runs
     (ModulatorConfig.pcm(13), 4095),  # 4095 runs of one slot
 ], ids=["mpwm_n16", "pcm_n13"])
 def test_superpose_beyond_n12_matches_dft_in_bounded_memory(cfg, duty):
-    tracemalloc.start()
-    try:
-        analytic = superpose_coeffs(cfg, duty)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    analytic, peak = _traced(lambda: superpose_coeffs(cfg, duty))
     numeric = dft_period(mpwm_wave(cfg, duty))
     assert np.max(np.abs(analytic.coeffs - numeric.coeffs)) <= 1e-12
     assert analytic.dc == duty / cfg.steps
-    assert peak < 100e6
+    assert peak < _TILE_BYTES
+
+
+def test_superpose_at_the_k_max_limit_holds_the_output_and_one_tile():
+    cfg = ModulatorConfig.mpwm(4, 1)
+    spec, peak = _traced(lambda: superpose_coeffs(cfg, 3, k_max=_K_MAX_LIMIT))
+    assert peak < 16 * (_K_MAX_LIMIT + 1) + _TILE_BYTES
+    # a_k is its DFT bin times the hold envelope at every k; here 2**20 harmonics fill 32 tiles
+    k = np.arange(_K_MAX_LIMIT + 1)
+    bins = np.fft.fft(mpwm_wave(cfg, 3).bits.astype(float)) / cfg.steps
+    held = bins[k % cfg.steps] * np.exp(-1j * np.pi * k / cfg.steps) * np.sinc(k / cfg.steps)
+    assert np.max(np.abs(spec.coeffs - held)) <= 1e-15
+
+
+# Two ulps of full scale.  Summed 1023 runs to a gemv, as 2**20-term chunks
+# did at n = 11, these gaps reached 1.1e-15 to 2.3e-15 (pcm_n13 stayed at
+# 8e-17, where a chunk held 255 runs).
+@pytest.mark.parametrize("cfg, duty", [
+    (ModulatorConfig.pcm(11), 1304),
+    (ModulatorConfig.pcm(12), 2047),
+    (ModulatorConfig.pcm(13), 4095),
+    (ModulatorConfig.fons(12), 2048),
+    (ModulatorConfig.mpwm(12, 9), 1477),
+], ids=["pcm_n11", "pcm_n12", "pcm_n13", "fons_n12", "mpwm_n12_sf9"])
+def test_superpose_of_many_runs_is_within_two_ulps_of_dft(cfg, duty):
+    analytic = superpose_coeffs(cfg, duty)
+    numeric = dft_period(generate(cfg, duty))
+    assert np.max(np.abs(analytic.coeffs - numeric.coeffs)) <= 2 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("k_max", [-1, -5])
@@ -219,8 +256,6 @@ def test_negative_k_max_rejected_by_every_constructor(k_max):
 
 
 def test_oversized_k_max_rejected_before_allocation():
-    from mpwmdac.spectral import _K_MAX_LIMIT
-
     cfg = ModulatorConfig.mpwm(4, 1)
     for build in (lambda k: unit_signal_coeffs(4, 3, k_max=k),
                   lambda k: superpose_coeffs(cfg, 3, k_max=k)):
