@@ -367,10 +367,9 @@ class _HarmonicRoute:
     """The harmonic ripple route of one config, split where f_c enters.
 
     The held series a_k of a pattern, k = 0..4 * 2**n, is its DFT bin
-    k mod 2**n under the zero-order-hold envelope (`held`); it is free of
-    f_c, so a caller that filters one pattern at many cutoffs can keep it.
-    `tune(fm)` computes H(j 2 pi k / T) once per cutoff, and `period` sums
-    a_k H into the steady-state period on _SAMPLES_PER_SLOT samples per slot.
+    k mod 2**n under the zero-order-hold envelope.  `tune(fm)` computes
+    H(j 2 pi k / T) once per cutoff, and `period` sums a_k H into the
+    steady-state period on _SAMPLES_PER_SLOT samples per slot.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
@@ -384,15 +383,11 @@ class _HarmonicRoute:
     def tune(self, fm: FilterModel) -> None:
         self.h = fm.freq_response(self.f_k)
 
-    def held(self, bins: np.ndarray) -> np.ndarray:
-        """Held series of the pattern whose DFT bins are `bins`."""
-        return bins[self.towers] * self.envelope
-
-    def period(self, held: np.ndarray) -> np.ndarray:
-        """Filtered steady-state period of a held series at the tuned cutoff."""
+    def period(self, bins: np.ndarray) -> np.ndarray:
+        """Filtered steady-state period of the pattern with DFT bins `bins`."""
         grid = _SAMPLES_PER_SLOT * self.cfg.steps
         spec = np.zeros(grid // 2 + 1, dtype=complex)
-        spec[: held.size] = held * self.h * grid
+        spec[: self.towers.size] = bins[self.towers] * self.envelope * self.h * grid
         return np.fft.irfft(spec, n=grid)
 
 
@@ -424,7 +419,7 @@ def steady_ripple(
         raise ParameterError(f"method must be 'harmonic' or 'time', got {method!r}")
     route = _HarmonicRoute(cfg)
     route.tune(fm)
-    return _ripple_lsb(route.period(route.held(_dft_bins(wave.bits))), cfg)
+    return _ripple_lsb(route.period(_dft_bins(wave.bits)), cfg)
 
 
 def settling_time(

@@ -6,9 +6,12 @@ checks the summary and only then writes the files, so a rejected command
 leaves no file behind.  Outputs are deterministic: every data file except
 the periph dumps starts with a `# config:` header carrying the full resolved
 parameters (no timestamps), so identical invocations produce byte-identical
-files.  The periph CSV
-starts with its `cycle,out` column line and the VCD with `$timescale`, so
-both load as plain CSV and VCD.  Summaries print to stdout as JSON; errors
+files.  `_table` writes every cell of those files, CSV and JSON alike, by one
+rule (`_cell`): a float to 12 significant digits, None (no value: an unbounded
+rate, a spectrum with no DC, PWM's rule of thumb on other kinds) as "", an int
+or string as it is; in JSON an int stays a number.  The periph CSV starts
+with its `cycle,out` column line and the VCD with `$timescale`, so both load
+as plain CSV and VCD.  Summaries print to stdout as JSON; errors
 print a machine-readable record to stderr and exit nonzero (2 for parameter
 or usage problems, 1 for peripheral faults).
 
@@ -32,6 +35,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,15 +57,9 @@ _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 def _parse_with_units(text: str, units: dict[str, float], what: str) -> float:
     s = text.strip()
-    for suffix in sorted(units, key=len, reverse=True):
-        if s.lower().endswith(suffix):
-            number = s[: len(s) - len(suffix)].strip()
-            try:
-                return float(number) * units[suffix]
-            except ValueError:
-                raise ParameterError(f"cannot parse {what} value {text!r}") from None
+    suffix = max((u for u in units if s.lower().endswith(u)), key=len, default="")
     try:
-        return float(s)
+        return float(s[: len(s) - len(suffix)]) * units.get(suffix, 1.0)
     except ValueError:
         raise ParameterError(
             f"cannot parse {what} value {text!r}; allowed units: {', '.join(sorted(units))}"
@@ -86,21 +84,28 @@ def _json(obj, **kwargs) -> str:
         raise ParameterError(f"a value does not fit strict JSON ({exc})") from None
 
 
-def _table(config: dict, columns: list[str], rows: list[list], fmt: str = "csv") -> str:
+def _cell(value) -> str:
+    """One data-file cell: a float to 12 significant digits, None (no value) as "", else str."""
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    return "" if value is None else str(value)
+
+
+def _table(config: dict, columns: list[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
     """One data file's text: JSON {config, rows}, or CSV under a `# config:` line."""
     if fmt == "json":
-        return _json({"config": config, "rows": [dict(zip(columns, r)) for r in rows]},
-                     indent=2) + "\n"
-    lines = ["# config: " + _json(config), *(",".join(map(str, r)) for r in [columns, *rows])]
+        rows = [{c: v if isinstance(v, int) else _cell(v) for c, v in zip(columns, r)}
+                for r in rows]
+        return _json({"config": config, "rows": rows}, indent=2) + "\n"
+    lines = ["# config: " + _json(config), ",".join(columns)]
+    lines += (",".join(map(_cell, r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _build_config(args) -> ModulatorConfig:
-    sf = args.n - 1 if args.kind == Kind.PCM else args.sf
+    sf = args.sf
+    if sf is None:
+        sf = args.n - 1 if args.kind == Kind.PCM else 0
     fine_bits = args.fine_bits
     if fine_bits is None:
         fine_bits = 4 if args.kind == Kind.HRMPWM else 0
@@ -108,16 +113,8 @@ def _build_config(args) -> ModulatorConfig:
 
 
 def _resolved(args, cfg: ModulatorConfig, **extra) -> dict:
-    config = {
-        "command": args.command,
-        "kind": cfg.kind.value,
-        "n": cfg.n,
-        "sf": cfg.sf,
-        "f_clk_hz": cfg.f_clk,
-        "fine_bits": cfg.fine_bits,
-    }
-    config.update(extra)
-    return config
+    return {"command": args.command, "kind": cfg.kind.value, "n": cfg.n, "sf": cfg.sf,
+            "f_clk_hz": cfg.f_clk, "fine_bits": cfg.fine_bits, **extra}
 
 
 # -- commands -----------------------------------------------------------------
@@ -133,10 +130,7 @@ def cmd_gen(args) -> _Output:
         if isinstance(wave, EdgeList):
             stem = f"edges_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{duty}_f{args.fine}"
             columns = ["time_s", "polarity"]
-            rows = [
-                [_fmt(t), "rising" if r else "falling"]
-                for t, r in zip(wave.times, wave.risings)
-            ]
+            rows = [[t, "rising" if r else "falling"] for t, r in zip(wave.times, wave.risings)]
             high = wave.high_time()
         else:
             stem = f"bits_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{duty}"
@@ -154,7 +148,7 @@ def cmd_gen(args) -> _Output:
             trace_path = out_dir / f"trace_{stem}.csv"
             files.append((trace_path, _table(
                 {**config, "oversample": args.oversample}, ["time_s", "volts"],
-                [[_fmt(t), _fmt(v)] for t, v in zip(times, trace.samples)],
+                zip(times.tolist(), trace.samples.tolist()),
             )))
             entry["trace_file"] = str(trace_path)
         generated.append(entry)
@@ -168,8 +162,7 @@ def cmd_spectrum(args) -> _Output:
     path = Path(args.out) / f"spectrum_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}_d{args.duty}.csv"
     dc = abs(spec.coeffs[0])
     rows = [
-        [k, _fmt(k * spec.fundamental_hz), _fmt(a.real), _fmt(a.imag), _fmt(abs(a)),
-         _fmt(abs(a) / dc) if dc > 0 else ""]  # "": no DC to scale by
+        [k, k * spec.fundamental_hz, a.real, a.imag, abs(a), abs(a) / dc if dc > 0 else None]
         for k, a in enumerate(spec.coeffs)
     ]
     columns = ["k", "frequency_hz", "re", "im", "magnitude", "magnitude_over_dc"]
@@ -178,14 +171,8 @@ def cmd_spectrum(args) -> _Output:
     if peaks is None:
         summary["no_harmonic"] = True
     else:
-        summary.update(
-            k1=peaks.k1,
-            f1_hz=peaks.f1,
-            amp1_over_dc=peaks.amp1_over_dc,
-            k2=peaks.k2,
-            f2_hz=peaks.f2,
-            amp2_over_dc=peaks.amp2_over_dc,
-        )
+        summary.update(k1=peaks.k1, f1_hz=peaks.f1, amp1_over_dc=peaks.amp1_over_dc,
+                       k2=peaks.k2, f2_hz=peaks.f2, amp2_over_dc=peaks.amp2_over_dc)
     return summary, [(path, _table(config, columns, rows))]
 
 
@@ -202,10 +189,7 @@ def cmd_metrics(args) -> _Output:
         supply_rel_err=em.supply_rel_err,
     )
     path = Path(args.out) / f"metrics_{cfg.kind.value}_n{cfg.n}_sf{cfg.sf}.csv"
-    rows = [
-        [d, count, _fmt(err)]
-        for d, (count, err) in enumerate(zip(report.edge_counts, report.static_error_lsb))
-    ]
+    rows = zip(range(len(report.edge_counts)), report.edge_counts, report.static_error_lsb)
     table = _table(config, ["duty", "edge_count", "static_error_lsb"], rows)
     return {**report.summary(), "curves_file": str(path)}, [(path, table)]
 
@@ -234,7 +218,7 @@ def cmd_settle(args) -> _Output:
     path = Path(args.out) / "filter_response.csv"
     grid = fm.f_c * np.logspace(-2, 3, 101)
     rows = [
-        [_fmt(f), _fmt(abs(h)), _fmt(20.0 * np.log10(abs(h))), _fmt(np.angle(h))]
+        [f, abs(h), 20.0 * np.log10(abs(h)), np.angle(h)]
         for f, h in zip(grid, fm.freq_response(grid))
     ]
     columns = ["frequency_hz", "magnitude", "magnitude_db", "phase_rad"]
@@ -254,20 +238,13 @@ def _repro_cutoffs(args):
 
 
 def _repro_cutoff(args) -> tuple[dict, list[str], list[list]]:
-    columns = [
-        "n", "sf", "f_ct_required", "f_c_hz", "worst_duty",
-        "worst_ripple_lsb", "rule_of_thumb_f_ct",
+    columns = ["n", "sf", "f_ct_required", "f_c_hz", "worst_duty", "worst_ripple_lsb",
+               "rule_of_thumb_f_ct"]
+    rows = [
+        [cfg.n, cfg.sf, res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb,
+         res.rule_of_thumb_f_ct]
+        for cfg, res in _repro_cutoffs(args)
     ]
-    rows = []
-    for cfg, res in _repro_cutoffs(args):
-        rule = res.rule_of_thumb_f_ct
-        rows.append(
-            [
-                cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), res.worst_duty,
-                _fmt(res.worst_ripple_lsb),
-                _fmt(rule) if rule is not None else "",
-            ]
-        )
     config = {
         "n_list": args.n_list, "sf_list": args.sf_list,
         "ripple_target_lsb": args.ripple_target,
@@ -285,7 +262,7 @@ def _repro_inl_dnl(args) -> tuple[dict, list[str], list[list]]:
     rows = []
     for cfg in configs:
         report = MetricsReport.gather(cfg, em)
-        rows.append([cfg.kind.value, n, cfg.sf, _fmt(report.inl_lsb), _fmt(report.dnl_lsb)])
+        rows.append([cfg.kind.value, n, cfg.sf, report.inl_lsb, report.dnl_lsb])
     config = {"n": n, "t_dr_s": em.t_dr, "t_df_s": em.t_df, "f_clk_hz": f_clk}
     return config, ["kind", "n", "sf", "inl_lsb", "dnl_lsb"], rows
 
@@ -294,8 +271,8 @@ def _repro_settling(args) -> tuple[dict, list[str], list[list]]:
     rows = []
     for cfg, res in _repro_cutoffs(args):
         rate, settle = conversion_rate(cfg, FilterModel(res.f_c_hz), band_lsb=args.band)
-        rows.append([cfg.n, cfg.sf, _fmt(res.f_ct), _fmt(res.f_c_hz), _fmt(settle),
-                     "" if rate == math.inf else _fmt(rate)])  # "": unbounded
+        rows.append([cfg.n, cfg.sf, res.f_ct, res.f_c_hz, settle,
+                     None if rate == math.inf else rate])  # None: unbounded
     config = {
         "n_list": args.n_list, "sf_list": args.sf_list,
         "ripple_target_lsb": args.ripple_target, "band_lsb": args.band,
@@ -304,22 +281,19 @@ def _repro_settling(args) -> tuple[dict, list[str], list[list]]:
     return config, columns, rows
 
 
+_FIGURES = {
+    "cutoff_vs_resolution": _repro_cutoff,
+    "inl_dnl": _repro_inl_dnl,
+    "settling": _repro_settling,
+}
+
+
 def cmd_repro(args) -> _Output:
-    builders = {
-        "cutoff_vs_resolution": _repro_cutoff,
-        "inl_dnl": _repro_inl_dnl,
-        "settling": _repro_settling,
-    }
-    if args.figure not in builders:
-        raise ParameterError(
-            f"unknown figure {args.figure!r}; choose from {sorted(builders)}"
-        )
-    config, columns, rows = builders[args.figure](args)
+    config, columns, rows = _FIGURES[args.figure](args)
     path = Path(args.out) / f"repro_{args.figure}.{args.format}"
     config = {"command": "repro", "figure": args.figure, **config}
-    return {"figure": args.figure, "file": str(path)}, [
-        (path, _table(config, columns, rows, args.format))
-    ]
+    table = _table(config, columns, rows, args.format)
+    return {"figure": args.figure, "file": str(path)}, [(path, table)]
 
 
 def cmd_periph(args) -> _Output:
@@ -364,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--kind", required=True,
                      choices=[k.value for k in Kind])
     mod.add_argument("--n", type=int, required=True)
-    mod.add_argument("--sf", type=int, default=0)
+    mod.add_argument("--sf", type=int, help="splitting factor (default: n-1 for pcm, else 0)")
     mod.add_argument("--fclk", default="100MHz")
     mod.add_argument("--fine-bits", dest="fine_bits", type=int, default=None,
                      help="fine delay-line bits (hrmpwm only; default 4)")
@@ -408,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_settle)
 
     p = sub.add_parser("repro", parents=[common, fmt], help="figure-reproduction sweeps")
-    p.add_argument("--figure", required=True)
+    p.add_argument("--figure", required=True, choices=_FIGURES)
     p.add_argument("--n-list", dest="n_list", type=int, nargs="+", default=[8, 10, 12])
     p.add_argument("--sf-list", dest="sf_list", type=int, nargs="+", default=[0, 3, 7])
     p.add_argument("--n", type=int, default=10)

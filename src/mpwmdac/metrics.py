@@ -22,7 +22,6 @@ from .modwave import (
     ModulatorConfig,
     _coerce_duty,
     _fill_order,
-    _require_mpwm_family,
     _slot_wave,
     count_pulses,
 )
@@ -207,7 +206,7 @@ class _Spectra(_HarmonicRoute):
             bins = _dft_bins(bits)
             if (len(self.bins) + 1) * bins.size <= _CACHE_TERMS:
                 self.bins[code] = bins
-        return self.period(self.held(bins))
+        return self.period(bins)
 
     def unit_response(self) -> np.ndarray:
         """Filtered period of slot 0 alone: code 1, since C_R[0] = 0."""
@@ -299,7 +298,6 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     PWM the rule-of-thumb closed form is reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
-    _require_mpwm_family(cfg)
 
     period = cfg.period
     spectra = _Spectra(cfg)

@@ -90,7 +90,7 @@ class ModulatorConfig:
         if self.kind == Kind.PCM and sf != n - 1:
             raise ParameterError(f"PCM requires sf=n-1={n - 1}, got sf={sf}")
         if self.kind == Kind.FONS and sf != 0:
-            raise ParameterError(f"FONS ignores sf and requires sf=0, got {sf}")
+            raise ParameterError(f"FONS requires sf=0, got sf={sf}")
         fine = (1, 6) if self.kind == Kind.HRMPWM else (0, 0)  # bits of the HR delay line
         object.__setattr__(self, "fine_bits", _require_int("fine_bits", self.fine_bits, *fine))
 

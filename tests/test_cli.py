@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpwmdac.cli
 from mpwmdac import ParameterError
-from mpwmdac.cli import _json, _parser, main, parse_freq, parse_time
+from mpwmdac.cli import _cell, _json, _parser, main, parse_freq, parse_time
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +188,27 @@ def test_repro_unknown_figure(capsys):
     record = json.loads(err)
     assert record["error"] == "parameter_error"
     assert "nonexistent" in record["detail"]
+
+
+@pytest.mark.parametrize("kind, detail", [
+    ("pcm", "PCM requires sf=n-1=5, got sf=2"),  # once run at sf=5 instead
+    ("pwm", "PWM requires sf=0, got sf=2"),
+    ("fons", "FONS requires sf=0, got sf=2"),
+])
+def test_a_wrong_sf_is_refused_for_every_fixed_sf_kind(capsys, kind, detail):
+    code, out, err = run_cli(capsys, "cutoff", "--kind", kind, "--n", "6", "--sf", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parameter_error", "detail": detail}
+
+
+def test_sf_defaults_to_n_minus_1_for_pcm_and_0_otherwise(tmp_path, capsys):
+    pcm = run_cli(capsys, "cutoff", "--kind", "pcm", "--n", "6")
+    assert pcm == run_cli(capsys, "cutoff", "--kind", "pcm", "--n", "6", "--sf", "5")
+    assert pcm[0] == 0 and json.loads(pcm[1])["sf"] == 5
+    for kind in ("pwm", "mpwm", "fons"):
+        code, _, _ = run_cli(capsys, "gen", "--kind", kind, "--n", "4", "--duty", "3",
+                             "--out", str(tmp_path))
+        assert code == 0 and (tmp_path / f"bits_{kind}_n4_sf0_d3.csv").exists()
 
 
 def test_periph_command_matches_gen(tmp_path, capsys):
@@ -491,6 +512,48 @@ def test_json_format_output(tmp_path, capsys):
     payload = json.loads((tmp_path / "bits_pwm_n4_sf0_d5.json").read_text())
     assert payload["config"]["kind"] == "pwm"
     assert sum(r["bit"] for r in payload["rows"]) == 5
+
+
+def test_cell_rule():
+    assert _cell(0.1 + 0.2) == "0.3" and _cell(2.0) == "2" and _cell(1e-9) == "1e-09"
+    assert _cell(np.float64(1 / 3)) == "0.333333333333"
+    assert _cell(None) == ""  # no value: an unbounded rate, no DC, no rule of thumb
+    assert _cell(12) == "12"
+    assert _cell("rising") == "rising"
+
+
+# gen's three row kinds and every repro figure, None cells included
+_BOTH_FORMATS = {
+    "gen bits": (["gen", "--kind", "pwm", "--n", "4", "--duty", "5"], "bits_pwm_n4_sf0_d5"),
+    "gen hrmpwm edges": (
+        ["gen", "--kind", "hrmpwm", "--n", "5", "--sf", "2", "--duty", "7", "--fine", "3"],
+        "edges_hrmpwm_n5_sf2_d7_f3"),
+    "gen fons": (["gen", "--kind", "fons", "--n", "5", "--duty", "11"], "bits_fons_n5_sf0_d11"),
+    "repro cutoff_vs_resolution": (
+        ["repro", "--figure", "cutoff_vs_resolution", "--n-list", "5", "--sf-list", "0", "2"],
+        "repro_cutoff_vs_resolution"),
+    "repro inl_dnl": (["repro", "--figure", "inl_dnl", "--n", "4"], "repro_inl_dnl"),
+    "repro settling": (
+        ["repro", "--figure", "settling", "--n-list", "5", "--sf-list", "0", "2"],
+        "repro_settling"),
+    "repro settling unbounded": (
+        ["repro", "--figure", "settling", "--n-list", "5", "--sf-list", "0", "--band", "2"],
+        "repro_settling"),
+}
+
+
+@pytest.mark.parametrize("label", list(_BOTH_FORMATS))
+def test_csv_and_json_tables_agree_cell_for_cell(tmp_path, capsys, label):
+    argv, stem = _BOTH_FORMATS[label]
+    for fmt in ("csv", "json"):
+        assert run_cli(capsys, *argv, "--format", fmt, "--out", str(tmp_path))[0] == 0
+    config, header, rows = read_table(tmp_path / f"{stem}.csv")
+    payload = json.loads((tmp_path / f"{stem}.json").read_text(), parse_constant=_reject_constant)
+    assert payload["config"] == config
+    assert all(sorted(row) == sorted(header) for row in payload["rows"])
+    # every JSON cell is an int or a string, and an int is the CSV cell's number
+    assert all(type(v) in (int, str) for row in payload["rows"] for v in row.values())
+    assert [[str(row[c]) for c in header] for row in payload["rows"]] == rows
 
 
 # one command per line of the "CSV schemas" block in the cli docstring

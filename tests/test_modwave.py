@@ -273,6 +273,8 @@ def test_kind_constraints():
         ModulatorConfig(Kind.PWM, 5, 1)
     with pytest.raises(ParameterError, match="PCM requires sf=n-1"):
         ModulatorConfig(Kind.PCM, 5, 1)
+    with pytest.raises(ParameterError, match="^FONS requires sf=0, got sf=2$"):
+        ModulatorConfig(Kind.FONS, 5, 2)
     with pytest.raises(ParameterError, match="fine_bits"):
         ModulatorConfig(Kind.MPWM, 5, 1, fine_bits=2)
     with pytest.raises(ParameterError, match="fine_bits"):
