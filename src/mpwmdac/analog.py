@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ParameterError, _require_array, _require_int, _require_real
+from .errors import ParameterError, _require_array, _require_int, _require_real, _require_type
 from .modwave import (
     BitWaveform,
     DutyCode,
@@ -336,7 +336,8 @@ def filter_response(
     exact zero (see `_foh_states`).  A cutoff whose discretization overflows
     is refused.
     """
-    a, b, c = fm.state_space()
+    _require_type("trace", trace, AnalogTrace)
+    a, b, c = _require_type("fm", fm, FilterModel).state_space()
     size = trace.samples.size
     dt = 1.0 / trace.sample_rate
     # lsim's first-order hold: e = expm(M.T) of the block matrix
@@ -363,6 +364,45 @@ def filter_response(
 _SAMPLES_PER_SLOT = 16  # the harmonic route reads each filtered period on this grid
 
 
+def _series_gap(size: int, omega: float, edges: int, beta: float, harmonics: int,
+                per_slot: int) -> float:
+    """LSB bound on the gap between the exact ripple of a `size`-slot period and the
+    ripple of its Fourier series cut after `harmonics` and read on `per_slot`
+    samples per slot by an FFT, both in floating point.
+
+    The period has at most `edges` unit steps, its exact phasors keep |beta|
+    <= `beta` and the cutoff is omega rad per slot, f_cT = omega size /
+    (2 pi).  The bound, in full-scale units times `size`, sums:
+
+    - truncation: |a_k| <= edges / (2 pi k) and |H| <= (f_cT / k)**2, so the
+      harmonics past K = `harmonics` move each sample by at most
+      edges f_cT**2 / (2 pi K**2), since sum_(k > K) k**-3 <= 1 / (2 K**2);
+    - the grid: |y''| <= omega**2 beta, so samples h = 1 / per_slot slots
+      apart miss a peak or a trough by at most omega**2 beta h**2 / 8;
+    - rounding of the FFTs: each sample off by at most log2(per_slot size)
+      eps for the spectrum and as much for the series, as
+      `metrics._ripple_margin` takes it;
+    - rounding of the exact route (`_edge_swings`), with E = edges,
+      c = 1 / |1 - e^(p size)| and b = beta + sqrt(2): S sums E terms of size
+      sqrt(2), so beta's start is off by at most
+      eps (c (sqrt(2) E (E + 5) + 3 b) + 4 b); each step of the recurrence
+      adds at most 6 b eps, and reading a candidate off beta 15 b eps.
+
+    Each term bounds one sample, so the ripple, a difference of two, takes
+    each twice.
+    """
+    eps = np.finfo(float).eps
+    f_ct = omega * size / (2 * np.pi)
+    b = beta + math.sqrt(2)
+    c = 1 / abs(1 - _phasors(omega, size))
+    truncation = edges * f_ct**2 / (2 * np.pi * harmonics**2)
+    grid = omega**2 * beta / (8 * per_slot**2)
+    series = 2 * math.log2(per_slot * size) * eps
+    start = c * (math.sqrt(2) * edges * (edges + 5) + 3 * b) + 4 * b
+    exact = eps * (start + (6 * edges + 15) * b)
+    return float(2 * size * (truncation + grid + series + exact))
+
+
 class _HarmonicRoute:
     """The harmonic ripple route of one config, split where f_c enters.
 
@@ -379,9 +419,18 @@ class _HarmonicRoute:
         self.towers = k % cfg.steps
         self.envelope = _hold_envelope(k, cfg.steps)
         self.h = np.ones(0)
+        self.omega = 0.0  # the tuned cutoff in rad per slot
 
     def tune(self, fm: FilterModel) -> None:
         self.h = fm.freq_response(self.f_k)
+        self.omega = fm.omega_c / self.cfg.f_clk
+
+    def gap(self, edges: int, beta: float) -> float:
+        """LSB bound on |this route's ripple - the exact route's| for a period of at
+        most `edges` unit steps whose exact phasors keep |beta| <= `beta`: the
+        `_series_gap` of its harmonics k <= 4 * 2**n and its grid."""
+        size = self.cfg.steps
+        return _series_gap(size, self.omega, edges, beta, 4 * size, _SAMPLES_PER_SLOT)
 
     def period(self, bins: np.ndarray) -> np.ndarray:
         """Filtered steady-state period of the pattern with DFT bins `bins`."""
@@ -389,6 +438,68 @@ class _HarmonicRoute:
         spec = np.zeros(grid // 2 + 1, dtype=complex)
         spec[: self.towers.size] = bins[self.towers] * self.envelope * self.h * grid
         return np.fft.irfft(spec, n=grid)
+
+
+# segments the exact route holds at once: 2**14 kept a sweep's dozen temporaries
+# in a 2 MiB L2 and ran mpwm n=10 sf=5 in 4 ms a sweep, against 7 ms at 2**16
+_TILE_SEGMENTS = 1 << 14
+_JUMP = 1 - 1j  # a step of +1 adds -_JUMP to the phasor
+
+
+def _phasors(omega: float, t) -> np.ndarray:
+    """e^(p t) for the filter pole p = omega (-1 + j) / sqrt(2), omega in rad per unit."""
+    return np.exp(omega * (-1 + 1j) / math.sqrt(2) * t)
+
+
+def _edge_swings(times: np.ndarray, rising: np.ndarray, span: int, omega: float,
+                 table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact peak-to-peak of the filtered periodic steady state of each column of
+    `times`, in full-scale units, and each column's largest |beta|.
+
+    Column c is a 0/1 period of `span` time units with its k-th unit step at
+    times[k, c], non-decreasing within [times[0, c], times[0, c] + span), up
+    when rising[k] and down otherwise; equal times may hold a step up and a
+    step down, which cancel.  omega is the cutoff in rad per unit.  Integer
+    times may read every e^(p m) off `table`, `_phasors(omega, m)` for
+    m = 0..span; else each is computed.
+
+    With p = omega (-1 + j) / sqrt(2), the output on a segment of level u is
+    u + Re(beta e^(p tau)), tau the time since the segment's first step.  A
+    step of +-1 adds -+(1 - j) to beta, which keeps y and y' continuous, and
+    beta runs on by the stable recurrence beta <- beta e^(p L) over a
+    segment of length L (|e^(p L)| <= 1).  The steady state starts from
+    beta = S / (1 - e^(p span)), S the sum of each step's jump carried on to
+    the period's end.  With x = Im(p) tau and a = arg(beta e^(j pi/4)) in
+    (-pi, pi], y - u = |beta| e^(-x) cos(a + x - pi/4): the peaks lie at
+    x = -a (mod 2 pi), the troughs at x = pi - a (mod 2 pi), each
+    |beta| e^(-x) / sqrt(2) from u, and each later one of a kind 2 pi further
+    on and smaller.  So a segment's extremes lie among tau = 0 and its first
+    peak and first trough, where they fall inside it; its end is the next
+    segment's tau = 0.
+    """
+    events, codes = times.shape
+    phasor = (lambda t: _phasors(omega, t)) if table is None else table.__getitem__
+    jumps = np.where(rising, -_JUMP, _JUMP)
+    lengths = np.diff(times, axis=0, append=times[:1] + span)
+    decays = phasor(lengths)
+    beta = np.empty((events, codes), dtype=complex)
+    beta[0] = jumps @ phasor(times[0] + span - times) / (1 - phasor(span)) + jumps[0]
+    for k in range(1, events):
+        np.multiply(beta[k - 1], decays[k - 1], out=beta[k])
+        beta[k] += jumps[k]
+    level = rising.astype(float)[:, None]
+    start = level + beta.real
+    size = np.abs(beta)
+    beta *= np.exp(0.25j * np.pi)
+    a = np.angle(beta)
+    reach = lengths * (omega / math.sqrt(2))
+    excursion = size * np.exp(a) / math.sqrt(2)  # at x = -a; at x = -a + m pi times e^(-m pi)
+    late = a > 0  # the first peak lies at 2 pi - a
+    peaks = level + np.where(late, math.exp(-2 * np.pi) * excursion, excursion)
+    peaks = np.where(np.where(late, 2 * np.pi - a, -a) <= reach, peaks, start)
+    troughs = np.where(np.pi - a <= reach, level - math.exp(-np.pi) * excursion, start)
+    swings = np.maximum(start, peaks).max(0) - np.minimum(start, troughs).min(0)
+    return swings, size.max(0)
 
 
 def _ripple_lsb(period: np.ndarray, cfg: ModulatorConfig) -> float:
@@ -405,18 +516,31 @@ def steady_ripple(
 ) -> float:
     """Steady-state peak-to-peak output deviation in LSB (ideal edges).
 
-    harmonic: sums a_k * H(j 2 pi k / T) over enough harmonic towers and
-    reads the peak-to-peak off a dense grid (`_HarmonicRoute`, primary
-    path).  time: renders the period, filters it at its exact periodic
-    steady state and measures the swing (cross-check path); the two agree
-    within 1%.
+    harmonic: sums a_k * H(j 2 pi k / T) over the harmonics k <= 4 * 2**n
+    and reads the peak-to-peak off 16 samples per slot (`_HarmonicRoute`,
+    the route the cutoff search reports).  exact: the continuous
+    peak-to-peak from the edges' closed-form phasors (`_edge_swings`), with
+    no truncation and no grid; it also takes HR-MPWM, whose fine-delayed
+    edge falls between slots.  It lies within `_HarmonicRoute.gap` of the
+    harmonic route.  time: renders the period, filters it at its exact
+    periodic steady state and measures the swing (cross-check path); it
+    agrees with the other two within 1%.
     """
+    _require_type("cfg", cfg, ModulatorConfig)
+    _require_type("fm", fm, FilterModel)
+    if method == "exact":
+        edges = _as_edges(generate(cfg, duty))
+        if not edges.times.size:
+            return 0.0
+        swing, _ = _edge_swings(edges.times[:, None] * cfg.f_clk, edges.risings, cfg.steps,
+                                fm.omega_c / cfg.f_clk)
+        return float(swing[0]) * cfg.steps
     wave = _slot_wave(cfg, duty)
     if method == "time":
         trace = to_analog(wave, IDEAL_EDGES, oversample)
         return _ripple_lsb(filter_response(trace, fm, steady_state=True).samples, cfg)
     if method != "harmonic":
-        raise ParameterError(f"method must be 'harmonic' or 'time', got {method!r}")
+        raise ParameterError(f"method must be 'harmonic', 'exact' or 'time', got {method!r}")
     route = _HarmonicRoute(cfg)
     route.tune(fm)
     return _ripple_lsb(route.period(_dft_bins(wave.bits)), cfg)
@@ -436,6 +560,7 @@ def settling_time(
     envelope, found by bisection on its one-crossing bracket; it scales
     exactly as 1/f_c.
     """
+    _require_type("fm", fm, FilterModel)
     band_lsb = _require_real("band_lsb", band_lsb)
     n_bits = _require_int("n_bits", n_bits, 2, 16)
     if step == "one_lsb":

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: gen, spectrum, metrics, cutoff, settle, repro, periph.  Each
-command returns its JSON summary and the text of its data files; `main`
-checks the summary and only then writes the files, so a rejected command
-leaves no file behind.  Outputs are deterministic: every data file except
+command returns its JSON summary and the text of its data files as blocks;
+`main` checks the summary and only then writes the files, block by block, so
+a rejected command leaves no file behind and a long trace is never held as
+one text.  Outputs are deterministic: every data file except
 the periph dumps starts with a `# config:` header carrying the full resolved
 parameters (no timestamps), so identical invocations produce byte-identical
 files.  `_table` writes every cell of those files, CSV and JSON alike, by one
@@ -35,8 +36,9 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +50,9 @@ from .modwave import DutyCode, EdgeList, Kind, ModulatorConfig, count_pulses, ge
 from .periph import PeripheralFault, run_script, trace_to_csv, trace_to_vcd
 from .spectral import dominant_harmonics, superpose_coeffs
 
-# a command's JSON summary and its data files as (path, text) pairs
-_Output = tuple[dict, list[tuple[Path, str]]]
+# a command's JSON summary and its data files as (path, blocks of text) pairs
+_Output = tuple[dict, list[tuple[Path, Iterable[str]]]]
+_BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at a time
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -91,15 +94,33 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _table(config: dict, columns: list[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
-    """One data file's text: JSON {config, rows}, or CSV under a `# config:` line."""
+def _table(config: dict, columns: list[str], rows: Iterable[Sequence],
+           fmt: str = "csv") -> Iterator[str]:
+    """One data file's text in blocks: JSON {config, rows} as one block, or CSV under
+    a `# config:` line, _BLOCK_ROWS rows a block, formatted as they are written.
+    Everything that can fail runs before it returns."""
     if fmt == "json":
         rows = [{c: v if isinstance(v, int) else _cell(v) for c, v in zip(columns, r)}
                 for r in rows]
-        return _json({"config": config, "rows": rows}, indent=2) + "\n"
-    lines = ["# config: " + _json(config), ",".join(columns)]
-    lines += (",".join(map(_cell, r)) for r in rows)
-    return "\n".join(lines) + "\n"
+        return iter([_json({"config": config, "rows": rows}, indent=2) + "\n"])
+    head = "# config: " + _json(config) + "\n" + ",".join(columns) + "\n"
+    return chain([head], _csv_blocks(rows))
+
+
+def _csv_blocks(rows: Iterable[Sequence]) -> Iterator[str]:
+    """CSV lines of `rows`, _BLOCK_ROWS of them a block."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield "".join(",".join(map(_cell, r)) + "\n" for r in block)
+
+
+def _trace_rows(trace) -> Iterator[tuple[float, float]]:
+    """(time_s, volts) of each sample, converted _BLOCK_ROWS at a time."""
+    size = trace.samples.size
+    return chain.from_iterable(
+        zip((np.arange(i, min(i + _BLOCK_ROWS, size)) / trace.sample_rate).tolist(),
+            trace.samples[i : i + _BLOCK_ROWS].tolist())
+        for i in range(0, size, _BLOCK_ROWS))
 
 
 def _build_config(args) -> ModulatorConfig:
@@ -144,11 +165,9 @@ def cmd_gen(args) -> _Output:
         files.append((path, _table(config, columns, rows, args.format)))
         if args.trace:
             trace = to_analog(wave, IDEAL_EDGES, args.oversample)
-            times = np.arange(trace.samples.size) / trace.sample_rate
             trace_path = out_dir / f"trace_{stem}.csv"
             files.append((trace_path, _table(
-                {**config, "oversample": args.oversample}, ["time_s", "volts"],
-                zip(times.tolist(), trace.samples.tolist()),
+                {**config, "oversample": args.oversample}, ["time_s", "volts"], _trace_rows(trace),
             )))
             entry["trace_file"] = str(trace_path)
         generated.append(entry)
@@ -307,7 +326,8 @@ def cmd_periph(args) -> _Output:
         "vcd": str(vcd_path),
         "csv": str(csv_path),
     }
-    return payload, [(vcd_path, trace_to_vcd(result.bits)), (csv_path, trace_to_csv(result.bits))]
+    return payload, [(vcd_path, [trace_to_vcd(result.bits)]),
+                     (csv_path, [trace_to_csv(result.bits)])]
 
 
 # -- parser ---------------------------------------------------------------------
@@ -413,8 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         summary = _json(summary)
         if files:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-        for path, text in files:
-            path.write_text(text)
+        for path, blocks in files:
+            with path.open("w") as file:
+                file.writelines(blocks)
         print(summary)
         return 0
     except FloatingPointError as exc:

@@ -13,6 +13,14 @@ class ParameterError(ValueError):
     """
 
 
+def _require_type(name: str, value, kind: type):
+    """`value` if it is a `kind`, else a ParameterError naming `name`, `kind` and the
+    type it got."""
+    if isinstance(value, kind):
+        return value
+    raise ParameterError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
 def _require_real(name: str, value, lo: float = 0, above: bool = True) -> float:
     """`value` as a finite Python float above `lo` (or at least `lo` when `above` is
     False), else a ParameterError naming `name` and the bound.  NumPy ints and floats

@@ -14,8 +14,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analog import EdgeModel, FilterModel, IDEAL_EDGES, settling_time
-from .analog import _SAMPLES_PER_SLOT, _HarmonicRoute, _ripple_lsb
-from .errors import ParameterError, _require_int, _require_real
+from .analog import (
+    _SAMPLES_PER_SLOT,
+    _TILE_SEGMENTS,
+    _HarmonicRoute,
+    _edge_swings,
+    _phasors,
+    _ripple_lsb,
+)
+from .errors import ParameterError, _require_int, _require_real, _require_type
 from .modwave import (
     DutyCode,
     Kind,
@@ -23,6 +30,7 @@ from .modwave import (
     _coerce_duty,
     _fill_order,
     _slot_wave,
+    bit_reverse,
     count_pulses,
 )
 from .spectral import _dft_bins
@@ -51,7 +59,7 @@ def static_error(
     Splits into the supply term (relative supply deviation scaled by the
     duty) and the edge term pulse_count * dw * f_clk.
     """
-    duty = _coerce_duty(cfg, duty)
+    duty = _coerce_duty(_require_type("cfg", cfg, ModulatorConfig), duty)
     pulses = count_pulses(_slot_wave(cfg, duty))
     supply_term = em.supply_rel_err * duty.coarse
     return supply_term + pulses * em.dw * cfg.f_clk
@@ -66,7 +74,7 @@ def edge_counts_sweep(cfg: ModulatorConfig) -> np.ndarray:
     1 - [C_R[s-1] < D] - [C_R[s+1] < D].  FONS codes are not nested: each
     code is generated and counted (and HRMPWM is refused there).
     """
-    if cfg.kind in (Kind.FONS, Kind.HRMPWM):
+    if _require_type("cfg", cfg, ModulatorConfig).kind in (Kind.FONS, Kind.HRMPWM):
         return np.array([count_pulses(_slot_wave(cfg, d)) for d in range(cfg.steps)], np.int64)
     order = _fill_order(cfg)
     cr = np.argsort(order)  # the inverse permutation: C_R[s] = D where order[D] = s
@@ -90,6 +98,7 @@ def _inl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
 def inl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
     """INL from the worst-case pulse count: 2**sf for the split-counter
     kinds (1 for PWM, 2**(n-1) for PCM) and 2**(n-1) for FONS."""
+    _require_type("cfg", cfg, ModulatorConfig)
     peak = (1 << (cfg.n - 1)) if cfg.kind == Kind.FONS else cfg.sn
     return peak * abs(em.dw) * cfg.f_clk
 
@@ -111,7 +120,7 @@ def _dnl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
 
 def dnl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
     """DNL |dw * f_clk|, identical for all four modulator families."""
-    return abs(em.dw) * cfg.f_clk
+    return abs(em.dw) * _require_type("cfg", cfg, ModulatorConfig).f_clk
 
 
 _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
@@ -119,6 +128,15 @@ _F_CT_FLOOR = 1e-6  # the cutoff bracket tests no f_cT below this
 _SCREEN_REL = 0.01  # one sample per slot when the bound is at most this share of code 1's ripple
 _BLOCK_CELLS = 1 << 16  # running sums held at once by a ripple sweep
 _CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex terms
+# A ripple sweep screens by exact edge phasors when sf <= min(_EXACT_MAX_SF, n - 3)
+# (`_exact_screen`), else by running sums.  Measured on whole required_cutoff
+# searches (one BLAS thread, median of 6-14 interleaved runs at targets 0.3 and
+# 0.7), the running sums took this many times as long as the exact screen:
+# n=6 sf 0-5: 1.29 1.19 1.16 1.02 0.80 0.52; n=7 sf 2-6: 1.60 1.57 1.09 0.68 0.28;
+# n=8 sf 0-7: 2.13 1.74 1.69 1.47 1.69 0.74 0.41 0.22; n=10 sf 0-6: 3.86 2.84 3.08
+# 1.49 1.08 0.54 0.27; n=12 sf 3-7: 3.74 2.44 1.27 0.64 0.38.  The exact sweep
+# costs 2**(n+sf+1) segments; the running sums 4**n cells.
+_EXACT_MAX_SF = 4
 
 
 def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
@@ -157,6 +175,41 @@ def _running_ripples(order: np.ndarray, samples: np.ndarray) -> np.ndarray:
             y = np.add(y, tiled[start : start + grid], out=row)
         ripples[first : first + len(sums)] = sums.max(1) - sums.min(1)
     return ripples * order.size
+
+
+def _exact_ripples(cfg: ModulatorConfig, omega: float) -> tuple[np.ndarray, float]:
+    """Exact ripple in LSB of codes 1..2**n-1 at omega rad per slot, and the largest
+    |beta| of any code (`analog._edge_swings`).
+
+    Sub-region i of code D rises at i * sub and falls at i * sub + w_i, where
+    w_i = (D >> sf) + [bitrev(i) < D mod SN], the decoder's widths, so every
+    step lands on a whole slot.  The codes are swept in blocks of at most
+    _TILE_SEGMENTS segments.
+    """
+    sn, sub = cfg.sn, cfg.steps >> cfg.sf
+    index = np.arange(sn)[:, None]
+    starts, reversed_index = index * sub, bit_reverse(index, cfg.sf)
+    rising = np.tile([True, False], sn)
+    table = _phasors(omega, np.arange(cfg.steps + 1))
+    codes = np.arange(1, cfg.steps)
+    ripples = np.empty(codes.size)
+    beta = 0.0
+    step = max(1, _TILE_SEGMENTS // rising.size)
+    for first in range(0, codes.size, step):
+        block = codes[first : first + step]
+        times = np.empty((rising.size, block.size), dtype=np.int64)
+        times[0::2] = starts
+        times[1::2] = starts + (block >> cfg.sf) + (reversed_index < (block & (sn - 1)))
+        swings, betas = _edge_swings(times, rising, cfg.steps, omega, table)
+        ripples[first : first + block.size] = swings * cfg.steps
+        beta = max(beta, float(betas.max()))
+    return ripples, beta
+
+
+def _exact_screen(cfg: ModulatorConfig) -> bool:
+    """Whether a ripple sweep of `cfg` screens by exact edge phasors: where its
+    2**(n+sf+1) segments cost less than the running sums' 4**n cells."""
+    return cfg.sf <= min(_EXACT_MAX_SF, cfg.n - 3)
 
 
 def _interpolation_bound(unit: np.ndarray) -> float:
@@ -222,26 +275,45 @@ class _Spectra(_HarmonicRoute):
 def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
     """`worst_steady_ripple` at the tuned cutoff and the number of re-checks it ran.
 
-    The screen sweeps one sample per slot when the interpolation bound c
-    is at most _SCREEN_REL of code 1's one-per-slot ripple, and the full
-    grid (c = 0) otherwise.  The one-per-slot sums are a subset of the
-    full-grid sums, bit for bit, so r1 <= r16 holds in floating point,
-    and r16 <= r1 + c holds for the exact sums of the same samples.  Each
-    running sum is 2**n roundings of at most eps of full scale away from
-    its exact value, at most 4**n * eps LSB, so the computed r16 <= r1 + c
-    + 4 * 4**n * eps, and 4 * 4**n * eps is below one _ripple_margin.  Each
-    r16 lies within one margin of its `steady_ripple`.  A code with the
-    largest `steady_ripple` therefore has r1 >= max r1 - c - 3 margins, and
-    the screen re-checks every code within c + 4 margins of the largest r1:
-    the fourth covers the rounding of c itself.
+    One sweep gives every code D a screen ripple r_D, and every code with
+    r_D >= max r - w is re-checked on the harmonic route, the width w chosen
+    so that the code with the largest `steady_ripple` h, and every code tied
+    with it, passes: the re-checks find the maximum and its lowest code
+    exactly.
+
+    Where `_exact_screen(cfg)`, r_D is the exact ripple (`_exact_ripples`),
+    a sweep of 2**(n+sf+1) segments.  It lies within delta =
+    `_HarmonicRoute.gap` of h_D, so the code D_h with the largest h has
+    r_(D_h) >= h_(D_h) - delta >= h_(D_r) - delta >= max r - 2 delta, D_r
+    the code with the largest r: w = 2 delta.
+
+    Elsewhere, for PCM and high sf, where that sweep costs more than the
+    4**n cells of a running sum, r_D is one running sum of the unit response
+    (`_running_ripples`).  That sum reads one sample per slot when the
+    interpolation bound c is at most _SCREEN_REL of code 1's one-per-slot
+    ripple, and the full grid (c = 0) otherwise.  The one-per-slot sums are
+    a subset of the full-grid sums, bit for bit, so r1 <= r16 holds in
+    floating point, and r16 <= r1 + c holds for the exact sums of the same
+    samples.  Each running sum is 2**n roundings of at most eps of full
+    scale away from its exact value, at most 4**n * eps LSB, so the computed
+    r16 <= r1 + c + 4 * 4**n * eps, and 4 * 4**n * eps is below one
+    _ripple_margin.  Each r16 lies within one margin of its `steady_ripple`.
+    A code with the largest `steady_ripple` therefore has
+    r1 >= max r1 - c - 3 margins: w = c + 4 margins, the fourth for the
+    rounding of c itself.
     """
     cfg = spectra.cfg
-    unit = spectra.unit_response()
-    samples, c = unit[::_SAMPLES_PER_SLOT], _interpolation_bound(unit)
-    if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
-        samples, c = unit, 0.0
-    ripples = _running_ripples(spectra.order, samples)
-    near = np.nonzero(ripples >= ripples.max() - c - 4 * _ripple_margin(cfg))[0] + 1
+    if _exact_screen(cfg):
+        ripples, beta = _exact_ripples(cfg, spectra.omega)
+        width = 2 * spectra.gap(2 * cfg.sn, beta)
+    else:
+        unit = spectra.unit_response()
+        samples, c = unit[::_SAMPLES_PER_SLOT], _interpolation_bound(unit)
+        if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
+            samples, c = unit, 0.0
+        ripples = _running_ripples(spectra.order, samples)
+        width = c + 4 * _ripple_margin(cfg)
+    near = np.nonzero(ripples >= ripples.max() - width)[0] + 1
     exact = [spectra.ripple(int(d)) for d in near]
     best = int(np.argmax(exact))
     return exact[best], int(near[best]), len(exact)
@@ -250,14 +322,15 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
 def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int]:
     """Largest steady-state ripple over duty codes 1..2**n-1 and its code.
 
-    A running-sum sweep screens the codes (see `_worst_ripple`), and every
-    code it cannot rule out is re-evaluated on the harmonic route of
-    `steady_ripple`, so the result equals the per-duty maximum exactly, the
-    lowest code on a tie.  PWM, MPWM and PCM only: FONS codes are not
-    nested in the duty.
+    One sweep screens the codes: the exact edge-phasor ripple of every code
+    where sf <= min(4, n - 3), a running sum of the unit response elsewhere
+    (see `_worst_ripple`).  Every code the screen cannot
+    rule out is re-evaluated on the harmonic route of `steady_ripple`, so
+    the result equals its per-duty maximum exactly, the lowest code on a
+    tie.  PWM, MPWM and PCM only: FONS codes are not nested in the duty.
     """
-    spectra = _Spectra(cfg)
-    spectra.tune(fm)
+    spectra = _Spectra(_require_type("cfg", cfg, ModulatorConfig))
+    spectra.tune(_require_type("fm", fm, FilterModel))
     ripple, duty, _ = _worst_ripple(spectra)
     return ripple, duty
 
@@ -268,7 +341,9 @@ class CutoffResult:
 
     sweeps counts the full sweeps over every duty code, and ripple_checks
     the harmonic-route ripple evaluations of witness codes and screen
-    re-checks, whether their spectra were cached or not.
+    re-checks, whether their spectra were cached or not.  The re-checks
+    hang on the screen a sweep runs (`_worst_ripple`): exact edge phasors or
+    running sums.  No other field does; each is the per-duty maximum's.
     """
 
     f_ct: float
@@ -299,7 +374,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
-    period = cfg.period
+    period = _require_type("cfg", cfg, ModulatorConfig).period
     spectra = _Spectra(cfg)
     witness = None  # worst code of the last full sweep
     sweeps = checks = 0
@@ -366,7 +441,8 @@ def conversion_rate(
     step: str = "one_lsb",
 ) -> tuple[float, float]:
     """(max conversion rate in Hz, settling seconds) for the chosen step."""
-    t = settling_time(fm, step=step, band_lsb=band_lsb, n_bits=cfg.n)
+    n_bits = _require_type("cfg", cfg, ModulatorConfig).n
+    t = settling_time(fm, step=step, band_lsb=band_lsb, n_bits=n_bits)
     if t == 0.0:
         return float("inf"), 0.0
     return 1.0 / t, t

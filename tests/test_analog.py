@@ -29,7 +29,7 @@ from mpwmdac import (
     steady_ripple,
     to_analog,
 )
-from mpwmdac.analog import _MAX_TRACE_SAMPLES
+from mpwmdac.analog import _MAX_TRACE_SAMPLES, _edge_swings, _as_edges, _series_gap
 
 
 def test_ideal_trace_mean_is_duty_fraction():
@@ -405,8 +405,60 @@ def test_ripple_harmonic_matches_time_simulation():
         fm = FilterModel(f_ct / cfg.period)
         for duty in (cfg.steps // 2, cfg.steps // 3):
             r_h = steady_ripple(cfg, duty, fm, method="harmonic")
+            r_e = steady_ripple(cfg, duty, fm, method="exact")
             r_t = steady_ripple(cfg, duty, fm, method="time", oversample=128)
             assert r_h == pytest.approx(r_t, rel=1e-2)
+            assert r_e == pytest.approx(r_t, rel=1e-2)
+
+
+_PER_SLOT = 64  # the reference series: 64 samples a slot, every harmonic below 32 * 2**n
+
+
+def _series_coeffs(edges, cfg) -> np.ndarray:
+    """An edge list's Fourier coefficients a_k, k = 1.._PER_SLOT * N / 2 - 1, summed
+    straight from its edges: sum_i (+-1) e^(-j 2 pi k t_i / N) / (j 2 pi k), t_i in slots."""
+    k = np.arange(1, _PER_SLOT * cfg.steps // 2)
+    slots = edges.times * cfg.f_clk
+    jumps = np.where(edges.risings, 1.0, -1.0)
+    return np.exp(-2j * np.pi / cfg.steps * np.outer(k, slots)) @ jumps / (2j * np.pi * k)
+
+
+def _series_ripple(coeffs, cfg, fm) -> float:
+    """Ripple in LSB of the filtered series, read on _PER_SLOT samples a slot."""
+    grid = _PER_SLOT * cfg.steps
+    spec = np.zeros(grid // 2 + 1, dtype=complex)
+    k = np.arange(1, coeffs.size + 1)
+    spec[1 : k.size + 1] = coeffs * fm.freq_response(k / cfg.period) * grid
+    period = np.fft.irfft(spec, n=grid)
+    return float(period.max() - period.min()) * cfg.steps
+
+
+def _ripple_cutoffs(cfg):
+    return (1e-5, 0.003, 0.05 * cfg.sn, 0.4 * cfg.sn, 2.0 * cfg.sn, 16.0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exact_ripple_of_fons_and_hr_edges_meets_a_finer_series(n):
+    """FONS and HR-MPWM reach the exact route only through their edge lists.  The
+    reference sums 8 times the harmonics of the harmonic route and reads them on
+    a 4 times finer grid; `_series_gap` bounds the gap by its truncation, grid
+    and rounding, with beta from the exact route and no fitted constant."""
+    cases = [(ModulatorConfig.fons(n), d) for d in range(1, 1 << n)]
+    cases += [(ModulatorConfig.hr_mpwm(n, sf, fine_bits=4), DutyCode(coarse, fine))
+              for sf in range(n) for coarse in (0, 1, (1 << n) // 3, (1 << n) - 1)
+              for fine in (1, 7, 15)]
+    for cfg, duty in cases:
+        edges = _as_edges(generate(cfg, duty))
+        coeffs = _series_coeffs(edges, cfg)
+        for f_ct in _ripple_cutoffs(cfg):
+            fm = FilterModel(f_ct / cfg.period)
+            omega = fm.omega_c / cfg.f_clk
+            _, beta = _edge_swings(edges.times[:, None] * cfg.f_clk, edges.risings, cfg.steps,
+                                   omega)
+            gap = _series_gap(cfg.steps, omega, edges.times.size, float(beta[0]),
+                              _PER_SLOT * cfg.steps // 2 - 1, _PER_SLOT)
+            exact = steady_ripple(cfg, duty, fm, method="exact")
+            assert abs(exact - _series_ripple(coeffs, cfg, fm)) <= gap, (cfg, duty, f_ct)
 
 
 def test_ripple_vanishes_with_cutoff():

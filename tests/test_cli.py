@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpwmdac.cli
-from mpwmdac import ParameterError
+from mpwmdac import ModulatorConfig, ParameterError, generate, to_analog
 from mpwmdac.cli import _cell, _json, _parser, main, parse_freq, parse_time
 
 
@@ -490,6 +491,27 @@ def test_gen_trace_export(tmp_path, capsys):
     # 8 samples per 10 ns cycle; the ideal edges step down after the 8 high cycles
     rows = [line.split(",") for line in lines[2:]]
     assert rows == [[f"{i / 8e8:.12g}", str(int(i < 64))] for i in range(128)]
+
+
+def test_gen_trace_is_written_in_blocks_with_the_one_text_bytes(tmp_path, capsys):
+    # 65536 rows, four blocks: each row as the one-text writer formatted it, and
+    # no more than a block of rows held at once (4.7 MB traced; the one-text
+    # writer peaked at 10.3 MB here)
+    argv = ["gen", "--kind", "mpwm", "--n", "10", "--sf", "3", "--duty", "300", "--trace",
+            "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    trace = to_analog(generate(ModulatorConfig.mpwm(10, 3), 300), oversample=64)
+    times = np.arange(trace.samples.size) / trace.sample_rate
+    lines = Path(json.loads(out)["generated"][0]["trace_file"]).read_text().splitlines()
+    rows = [f"{t:.12g},{v:.12g}" for t, v in zip(times, trace.samples)]
+    assert lines[1:] == ["time_s,volts", *rows]
+    assert peak < 8e6
 
 
 def test_settle_response_table(tmp_path, capsys):

@@ -28,16 +28,20 @@ from mpwmdac import (
     MetricsReport,
     ModulatorConfig,
     ParameterError,
+    conversion_rate,
     cutoff_rule_of_thumb,
     decoder_states,
     dft_period,
     dnl,
+    dnl_closed_form,
     dominant_harmonics,
     edge_count_formula,
     edge_counts_sweep,
+    filter_response,
     generate,
     hr_mpwm_wave,
     inl,
+    inl_closed_form,
     mpwm_wave,
     rearranged_counter,
     required_cutoff,
@@ -362,3 +366,37 @@ def test_cutoff_search_past_the_filter_range_names_the_clock(f_clk, capsys):
 def test_cutoff_search_keeps_a_clock_whose_search_stays_in_range(capsys):
     assert main(["cutoff", "--kind", "pwm", "--n", "6", "--fclk=1e150"]) == 0
     assert json.loads(capsys.readouterr().out)["f_c_hz"] > 1e146
+
+
+# -- models passed by the wrong type ----------------------------------------------
+
+_TRACE = AnalogTrace(np.ones(4), 4.0, 1.0)
+_CFG = ModulatorConfig.pwm(5)
+_WRONG_MODELS = [
+    ("fm", "float", lambda: worst_steady_ripple(_CFG, 5.0)),
+    ("fm", "float", lambda: steady_ripple(_CFG, 3, 5.0)),
+    ("fm", "float", lambda: steady_ripple(_CFG, 3, 5.0, method="exact")),
+    ("fm", "float", lambda: filter_response(_TRACE, 3.0)),
+    ("fm", "float", lambda: settling_time(3.0)),
+    ("fm", "float", lambda: conversion_rate(_CFG, 3.0)),
+    ("fm", "float", lambda: MetricsReport.gather(_CFG, _EM, fm=3.0)),
+    ("trace", "ndarray", lambda: filter_response(np.ones(4), _FM)),
+    ("cfg", "str", lambda: required_cutoff("pwm", 0.5)),
+    ("cfg", "NoneType", lambda: worst_steady_ripple(None, _FM)),
+    ("cfg", "str", lambda: steady_ripple("pwm", 3, _FM)),
+    ("cfg", "NoneType", lambda: conversion_rate(None, _FM)),
+    ("cfg", "NoneType", lambda: static_error(None, 3)),
+    ("cfg", "str", lambda: edge_counts_sweep("pwm")),
+    ("cfg", "NoneType", lambda: MetricsReport.gather(None, _EM)),
+    ("cfg", "NoneType", lambda: inl_closed_form(None, _EM)),
+    ("cfg", "NoneType", lambda: dnl_closed_form(None, _EM)),
+]
+
+
+@pytest.mark.parametrize("name, got, call", _WRONG_MODELS,
+                         ids=[f"{i}-{site[0]}" for i, site in enumerate(_WRONG_MODELS)])
+def test_a_model_of_the_wrong_type_is_refused_by_name(name, got, call):
+    # each of these once leaked an AttributeError
+    kind = {"fm": "FilterModel", "trace": "AnalogTrace", "cfg": "ModulatorConfig"}[name]
+    with pytest.raises(ParameterError, match=f"^{name} must be of type {kind}, got {got}$"):
+        call()

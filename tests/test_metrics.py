@@ -34,6 +34,8 @@ from mpwmdac.metrics import (
     _REL_TOL,
     _SCREEN_REL,
     _Spectra,
+    _exact_ripples,
+    _exact_screen,
     _fill_order,
     _interpolation_bound,
     _ripple_margin,
@@ -179,6 +181,51 @@ def test_worst_steady_ripple_equals_per_duty_loop(n):
 ], ids=["pwm", "mpwm_sf3"])
 def test_worst_steady_ripple_equals_per_duty_loop_n12(cfg, f_ct):
     _check_worst_against_per_duty(cfg, f_ct)
+
+
+def _ripple_cutoffs(cfg):
+    """The search's bracket ends, 1e-5 and 16, and four cutoffs between, scaled by SN."""
+    return (1e-5, 0.003, 0.05 * cfg.sn, 0.4 * cfg.sn, 2.0 * cfg.sn, 16.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_ripple_lies_within_the_derived_gap_of_the_harmonic_route(n):
+    # delta is _HarmonicRoute.gap for 2 SN edges and the sweep's largest |beta|:
+    # truncation, grid and rounding bounds with no fitted constant.  The sweep
+    # and the one-code route steady_ripple(method="exact") both hold it against
+    # the harmonic steady_ripple, read through _Spectra (bit for bit the same).
+    for cfg in ripple_configs(n):
+        spectra = _Spectra(cfg)
+        for f_ct in _ripple_cutoffs(cfg):
+            fm = FilterModel(f_ct / cfg.period)
+            spectra.tune(fm)
+            swept, beta = _exact_ripples(cfg, spectra.omega)
+            delta = spectra.gap(2 * cfg.sn, beta)
+            codes = range(1, cfg.steps)
+            harmonic = np.array([spectra.ripple(d) for d in codes])
+            one_code = np.array([steady_ripple(cfg, d, fm, method="exact") for d in codes])
+            assert np.all(np.abs(swept - harmonic) <= delta), (cfg, f_ct)
+            assert np.all(np.abs(one_code - harmonic) <= delta), (cfg, f_ct)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_worst_steady_ripple_equals_per_duty_loop_at_the_bracket_ends(n, monkeypatch):
+    # both screens at the cutoffs the search may test first and last
+    for cfg in ripple_configs(n):
+        for f_ct in (1e-5, 16.0):
+            fm = FilterModel(f_ct / cfg.period)
+            expected = _per_duty_worst(cfg, fm)[1]
+            for exact in (True, False):
+                monkeypatch.setattr(metrics, "_exact_screen", lambda cfg, exact=exact: exact)
+                assert worst_steady_ripple(cfg, fm) == expected, (cfg, f_ct, exact)
+
+
+def test_the_screen_follows_its_rule():
+    # exact edge phasors where sf <= min(4, n - 3), running sums elsewhere
+    exact = {(n, sf) for n in range(2, 17) for sf in range(n)
+             if _exact_screen(ModulatorConfig.mpwm(n, sf))}
+    assert exact == {(n, sf) for n in range(3, 17) for sf in range(min(5, n - 2))}
+    assert _exact_screen(ModulatorConfig.pwm(8)) and not _exact_screen(ModulatorConfig.pcm(7))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
