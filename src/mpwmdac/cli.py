@@ -4,10 +4,9 @@ Commands: gen, spectrum, metrics, cutoff, settle, repro, periph.  Each
 command returns its JSON summary and the text of its data files as blocks;
 `main` checks the summary and only then writes the files, block by block, so
 a rejected command leaves no file behind and a long trace is never held as
-one text.  Outputs are deterministic: every data file except
-the periph dumps starts with a `# config:` header carrying the full resolved
-parameters (no timestamps), so identical invocations produce byte-identical
-files.  `_table` writes every cell of those files, CSV and JSON alike, by one
+one text.  Outputs are deterministic: every data file except the periph
+dumps starts with a `# config:` header carrying the full resolved parameters
+(no timestamps), so identical invocations produce byte-identical files.  `_table` writes every cell of those files, CSV and JSON alike, by one
 rule (`_cell`): a float to 12 significant digits, None (no value: an unbounded
 rate, a spectrum with no DC, PWM's rule of thumb on other kinds) as "", an int
 or string as it is; in JSON an int stays a number.  The periph CSV starts

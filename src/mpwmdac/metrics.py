@@ -207,8 +207,8 @@ def _exact_ripples(cfg: ModulatorConfig, omega: float) -> tuple[np.ndarray, floa
 
 
 def _exact_screen(cfg: ModulatorConfig) -> bool:
-    """Whether a ripple sweep of `cfg` screens by exact edge phasors: where its
-    2**(n+sf+1) segments cost less than the running sums' 4**n cells."""
+    """Whether a ripple sweep of `cfg` screens by exact edge phasors, which
+    measured faster than the running sums there (see _EXACT_MAX_SF)."""
     return cfg.sf <= min(_EXACT_MAX_SF, cfg.n - 3)
 
 
@@ -324,10 +324,10 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
 
     One sweep screens the codes: the exact edge-phasor ripple of every code
     where sf <= min(4, n - 3), a running sum of the unit response elsewhere
-    (see `_worst_ripple`).  Every code the screen cannot
-    rule out is re-evaluated on the harmonic route of `steady_ripple`, so
-    the result equals its per-duty maximum exactly, the lowest code on a
-    tie.  PWM, MPWM and PCM only: FONS codes are not nested in the duty.
+    (see `_worst_ripple`).  Every code the screen cannot rule out is
+    re-evaluated on the harmonic route of `steady_ripple`, so the result
+    equals its per-duty maximum exactly, the lowest code on a tie.  PWM,
+    MPWM and PCM only: FONS codes are not nested in the duty.
     """
     spectra = _Spectra(_require_type("cfg", cfg, ModulatorConfig))
     spectra.tune(_require_type("fm", fm, FilterModel))
@@ -341,9 +341,9 @@ class CutoffResult:
 
     sweeps counts the full sweeps over every duty code, and ripple_checks
     the harmonic-route ripple evaluations of witness codes and screen
-    re-checks, whether their spectra were cached or not.  The re-checks
-    hang on the screen a sweep runs (`_worst_ripple`): exact edge phasors or
-    running sums.  No other field does; each is the per-duty maximum's.
+    re-checks, whether their spectra were cached or not.  The re-check
+    count depends on the screen a sweep runs (`_worst_ripple`), exact edge
+    phasors or running sums; the other fields do not.
     """
 
     f_ct: float

@@ -29,7 +29,7 @@ from mpwmdac import (
     steady_ripple,
     to_analog,
 )
-from mpwmdac.analog import _MAX_TRACE_SAMPLES, _edge_swings, _as_edges, _series_gap
+from mpwmdac.analog import _MAX_TRACE_SAMPLES, _as_edges, _edge_swings, _series_gap
 
 
 def test_ideal_trace_mean_is_duty_fraction():
