@@ -2,16 +2,18 @@
 pulse-modulation DACs (PWM, PCM, first-order noise shaping, and the
 split-period MPWM scheme with an optional sub-clock fine stage).
 
-The package root re-exports the `__all__` of every module, so each public
-name is listed once, in the module that defines it."""
+The package root checks each module's `__all__` by `errors._typed` and
+re-exports it, so each public name is listed once, where it is defined."""
 
 from . import analog, metrics, modwave, periph, spectral
-from .analog import *  # noqa: F403
-from .errors import ParameterError
-from .metrics import *  # noqa: F403
-from .modwave import *  # noqa: F403
-from .periph import *  # noqa: F403
-from .spectral import *  # noqa: F403
+from .errors import ParameterError, _typed
+
+_typed(analog, metrics, modwave, periph, spectral)
+from .analog import *  # noqa: E402, F403
+from .metrics import *  # noqa: E402, F403
+from .modwave import *  # noqa: E402, F403
+from .periph import *  # noqa: E402, F403
+from .spectral import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
 

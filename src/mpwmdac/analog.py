@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ParameterError, _require_array, _require_int, _require_real, _require_type
+from .errors import ParameterError, _require_array, _require_int, _require_real
 from .modwave import (
     BitWaveform,
     DutyCode,
@@ -118,7 +118,7 @@ class FilterModel:
         c = np.array([[1.0, 0.0]])
         return a, b, c
 
-    def freq_response(self, f_hz) -> np.ndarray:
+    def freq_response(self, f_hz: float | np.ndarray) -> np.ndarray:
         """Complex H at frequency f_hz (array ok).  Where (f_hz / f_c)**2
         overflows, +-inf included, |H| is below every float and H is its
         limit, 0.  A NaN frequency is refused."""
@@ -133,7 +133,7 @@ class FilterModel:
             return np.where(far, 0j, self.freq_response(np.where(far, 0.0, f_hz)))[()]
         return 1.0 / ((1.0 - x2) + 1j * np.sqrt(2.0) * x)
 
-    def unit_step(self, t) -> np.ndarray:
+    def unit_step(self, t: float | np.ndarray) -> np.ndarray:
         """Closed-form unit step response (0 for t < 0)."""
         t = np.asarray(t, dtype=float)
         theta = self.omega_c * np.clip(t, 0.0, None) / np.sqrt(2.0)
@@ -168,11 +168,7 @@ class AnalogTrace:
 
 
 def _as_edges(wave: BitWaveform | EdgeList) -> EdgeList:
-    if isinstance(wave, EdgeList):
-        return wave
-    if isinstance(wave, BitWaveform):
-        return EdgeList.from_bits(wave)
-    raise ParameterError(f"wave must be a BitWaveform or EdgeList, got {type(wave)!r}")
+    return wave if isinstance(wave, EdgeList) else EdgeList.from_bits(wave)
 
 
 def to_analog(
@@ -257,7 +253,7 @@ def dc_average(
                     f"trace covers {covered:.6g} periods; an integer count is required"
                 )
         return float(np.mean(arg.samples))
-    if not isinstance(arg, ModulatorConfig) or duty is None:
+    if duty is None:
         raise ParameterError("dc_average takes an AnalogTrace or (config, duty[, em])")
     cfg = arg
     duty = _coerce_duty(cfg, duty)
@@ -336,8 +332,7 @@ def filter_response(
     exact zero (see `_foh_states`).  A cutoff whose discretization overflows
     is refused.
     """
-    _require_type("trace", trace, AnalogTrace)
-    a, b, c = _require_type("fm", fm, FilterModel).state_space()
+    a, b, c = fm.state_space()
     size = trace.samples.size
     dt = 1.0 / trace.sample_rate
     # lsim's first-order hold: e = expm(M.T) of the block matrix
@@ -526,8 +521,6 @@ def steady_ripple(
     periodic steady state and measures the swing (cross-check path); it
     agrees with the other two within 1%.
     """
-    _require_type("cfg", cfg, ModulatorConfig)
-    _require_type("fm", fm, FilterModel)
     if method == "exact":
         edges = _as_edges(generate(cfg, duty))
         if not edges.times.size:
@@ -560,7 +553,6 @@ def settling_time(
     envelope, found by bisection on its one-crossing bracket; it scales
     exactly as 1/f_c.
     """
-    _require_type("fm", fm, FilterModel)
     band_lsb = _require_real("band_lsb", band_lsb)
     n_bits = _require_int("n_bits", n_bits, 2, 16)
     if step == "one_lsb":

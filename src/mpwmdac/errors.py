@@ -1,6 +1,10 @@
-"""Exception types and checks shared across the package."""
+"""Exception types and checks shared across the package: one type rule for the
+public API (`_typed`, applied on import) and the value checks `_require_*`."""
 
+import functools
+import inspect
 import math
+import types
 
 import numpy as np
 
@@ -13,12 +17,43 @@ class ParameterError(ValueError):
     """
 
 
-def _require_type(name: str, value, kind: type):
-    """`value` if it is a `kind`, else a ParameterError naming `name`, `kind` and the
-    type it got."""
-    if isinstance(value, kind):
-        return value
-    raise ParameterError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+def _checked(fn):
+    """`fn` with an entry check of each parameter annotated with package classes, str or None
+    only (no public function takes *args); `fn` itself if no parameter is."""
+    checks, absent = [], object()  # (position, name, the classes it takes, their names)
+    for at, param in enumerate(inspect.signature(fn, eval_str=True).parameters.values()):
+        hint = param.annotation
+        kinds = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
+        if all(k in (str, types.NoneType) or k.__module__.startswith(__package__) for k in kinds):
+            names = " or ".join(k.__name__ for k in kinds if k is not types.NoneType)
+            checks.append((at, param.name, kinds, names))
+    if not checks:
+        return fn
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        for at, name, kinds, names in checks:
+            value = args[at] if at < len(args) else kwargs.get(name, absent)
+            if not isinstance(value, kinds) and value is not absent:
+                raise ParameterError(f"{name} must be of type {names}, got {type(value).__name__}")
+        return fn(*args, **kwargs)
+
+    return checked
+
+
+def _typed(*modules: types.ModuleType) -> None:
+    """Apply `_checked` to each function that a module's __all__ names, at every name the
+    modules hold it by, and to each public method and classmethod of each class it names."""
+    swaps = {}  # id of a function -> its checked version
+    for obj in (vars(module)[name] for module in modules for name in module.__all__):
+        if isinstance(obj, types.FunctionType):
+            swaps[id(obj)] = _checked(obj)
+        for attr, raw in list(vars(obj).items()) if isinstance(obj, type) else ():
+            fn = raw.__func__ if isinstance(raw, classmethod) else raw
+            if not attr.startswith("_") and isinstance(fn, types.FunctionType):
+                setattr(obj, attr, _checked(fn) if fn is raw else classmethod(_checked(fn)))
+    for space in map(vars, modules):
+        space.update({k: swaps[id(v)] for k, v in space.items() if id(v) in swaps})
 
 
 def _require_real(name: str, value, lo: float = 0, above: bool = True) -> float:

@@ -22,7 +22,7 @@ from .analog import (
     _phasors,
     _ripple_lsb,
 )
-from .errors import ParameterError, _require_int, _require_real, _require_type
+from .errors import ParameterError, _require_int, _require_real
 from .modwave import (
     DutyCode,
     Kind,
@@ -59,7 +59,7 @@ def static_error(
     Splits into the supply term (relative supply deviation scaled by the
     duty) and the edge term pulse_count * dw * f_clk.
     """
-    duty = _coerce_duty(_require_type("cfg", cfg, ModulatorConfig), duty)
+    duty = _coerce_duty(cfg, duty)
     pulses = count_pulses(_slot_wave(cfg, duty))
     supply_term = em.supply_rel_err * duty.coarse
     return supply_term + pulses * em.dw * cfg.f_clk
@@ -74,7 +74,7 @@ def edge_counts_sweep(cfg: ModulatorConfig) -> np.ndarray:
     1 - [C_R[s-1] < D] - [C_R[s+1] < D].  FONS codes are not nested: each
     code is generated and counted (and HRMPWM is refused there).
     """
-    if _require_type("cfg", cfg, ModulatorConfig).kind in (Kind.FONS, Kind.HRMPWM):
+    if cfg.kind in (Kind.FONS, Kind.HRMPWM):
         return np.array([count_pulses(_slot_wave(cfg, d)) for d in range(cfg.steps)], np.int64)
     order = _fill_order(cfg)
     cr = np.argsort(order)  # the inverse permutation: C_R[s] = D where order[D] = s
@@ -98,7 +98,6 @@ def _inl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
 def inl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
     """INL from the worst-case pulse count: 2**sf for the split-counter
     kinds (1 for PWM, 2**(n-1) for PCM) and 2**(n-1) for FONS."""
-    _require_type("cfg", cfg, ModulatorConfig)
     peak = (1 << (cfg.n - 1)) if cfg.kind == Kind.FONS else cfg.sn
     return peak * abs(em.dw) * cfg.f_clk
 
@@ -120,7 +119,7 @@ def _dnl_of_counts(counts: np.ndarray, cfg: ModulatorConfig, em: EdgeModel):
 
 def dnl_closed_form(cfg: ModulatorConfig, em: EdgeModel) -> float:
     """DNL |dw * f_clk|, identical for all four modulator families."""
-    return abs(em.dw) * _require_type("cfg", cfg, ModulatorConfig).f_clk
+    return abs(em.dw) * cfg.f_clk
 
 
 _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
@@ -329,8 +328,8 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
     equals its per-duty maximum exactly, the lowest code on a tie.  PWM,
     MPWM and PCM only: FONS codes are not nested in the duty.
     """
-    spectra = _Spectra(_require_type("cfg", cfg, ModulatorConfig))
-    spectra.tune(_require_type("fm", fm, FilterModel))
+    spectra = _Spectra(cfg)
+    spectra.tune(fm)
     ripple, duty, _ = _worst_ripple(spectra)
     return ripple, duty
 
@@ -374,7 +373,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
-    period = _require_type("cfg", cfg, ModulatorConfig).period
+    period = cfg.period
     spectra = _Spectra(cfg)
     witness = None  # worst code of the last full sweep
     sweeps = checks = 0
@@ -441,7 +440,7 @@ def conversion_rate(
     step: str = "one_lsb",
 ) -> tuple[float, float]:
     """(max conversion rate in Hz, settling seconds) for the chosen step."""
-    n_bits = _require_type("cfg", cfg, ModulatorConfig).n
+    n_bits = cfg.n
     t = settling_time(fm, step=step, band_lsb=band_lsb, n_bits=n_bits)
     if t == 0.0:
         return float("inf"), 0.0

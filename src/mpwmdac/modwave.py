@@ -271,7 +271,10 @@ class DecoderState:
 
 
 def bit_reverse(value: int | np.ndarray, bits: int) -> int | np.ndarray:
-    """Reverse the low `bits` bits of an int or int array (0 bits -> 0)."""
+    """Reverse the low `bits` bits of a non-negative int or int array (0 bits -> 0)."""
+    _require_int("bits", bits, 0)
+    array = isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+    _require_int("value", value.min(initial=0) if array else value, 0)
     out = 0
     for i in range(bits):
         out |= ((value >> i) & 1) << (bits - 1 - i)

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ParameterError, _require_array, _require_int, _require_real
-from .modwave import BitWaveform, ModulatorConfig, _slot_wave
+from .modwave import BitWaveform, DutyCode, ModulatorConfig, _slot_wave
 
 __all__ = [
     "Spectrum",
@@ -184,7 +184,8 @@ def unit_signal_coeffs(
     return Spectrum(coeffs, fundamental, size)
 
 
-def superpose_coeffs(cfg: ModulatorConfig, duty, k_max: int | None = None) -> Spectrum:
+def superpose_coeffs(cfg: ModulatorConfig, duty: int | DutyCode,
+                     k_max: int | None = None) -> Spectrum:
     """Analytic spectrum of the generated waveform by run superposition.
 
     Sums the closed-form rectangle coefficients over the runs of high slots

@@ -1,5 +1,5 @@
-"""Input rules: every integer and real parameter, the bit arrays, the kind, and the
-slot-only analyses.
+"""Input rules: every integer and real parameter, the bit arrays, the kind, the
+slot-only analyses and the models.
 
 Integer parameters take Python or NumPy ints and refuse bool, float, str and
 None with a ParameterError that names the parameter; real parameters take
@@ -7,7 +7,10 @@ Python or NumPy ints and floats and refuse bool, str, None, complex, non-finite
 values and ints too large for a float the same way.  An array must be numeric,
 and a bit array is a 1-D array of 0/1 values.  HR-MPWM (an edge list) is refused
 by the analyses that read slots, and FONS and HR-MPWM by those that need nested
-codes.  The bus words are test_periph's.
+codes.  A parameter annotated with package classes or str is checked against its
+annotation on entry (`errors._typed`): the exact messages are pinned here, and
+test_package sweeps every such parameter of the public API.  The bus words are
+test_periph's.
 """
 
 import json
@@ -28,6 +31,7 @@ from mpwmdac import (
     MetricsReport,
     ModulatorConfig,
     ParameterError,
+    bit_reverse,
     conversion_rate,
     cutoff_rule_of_thumb,
     decoder_states,
@@ -84,6 +88,8 @@ SITES = [
     ("oversample", lambda v: to_analog(mpwm_wave(_MPWM, 3), oversample=v), 4, None),
     ("oversample", lambda v: steady_ripple(_MPWM, 3, _FM, "time", v), 4, None),
     ("cycles", lambda v: MpwmPeripheral().step(v), 1, None),
+    ("value", lambda v: bit_reverse(v, 2), 0, None),
+    ("bits", lambda v: bit_reverse(5, v), 0, None),
 ]
 
 
@@ -298,10 +304,15 @@ def test_bit_waveform_takes_bool_and_integral_0_1_values_as_uint8():
     (lambda: Spectrum(["a"], 1.0, 8), "^coeffs must be an array of numbers"),
     (lambda: EdgeList([0.1, 0.2], [2, 0], 1.0, 64.0), "^risings must be 0 or 1, got 2"),
     (lambda: EdgeList([0.1, 0.2], [[1, 0]], 1.0, 64.0), r"^risings must be a 1-D .* shape \(1, 2\)"),
+    (lambda: bit_reverse(np.array([1.5]), 2), "^value must be an integer"),
+    (lambda: bit_reverse(np.array(["1"]), 2), "^value must be an integer"),
+    (lambda: bit_reverse(np.array([True]), 2), "^value must be an integer"),
+    (lambda: bit_reverse(np.array([-1, 2]), 2), r"^value must be in \[0, inf\], got -1"),
 ], ids=["bits-ragged", "dump-ragged", "times-str", "samples-str", "coeffs-str", "risings-2",
-        "risings-2d"])
+        "risings-2d", "reverse-float", "reverse-str", "reverse-bool", "reverse-negative"])
 def test_arrays_refuse_ragged_non_numeric_and_non_bit_input(call, match):
-    # the first four once leaked a bare ValueError, coeffs-str too; risings-2 was accepted
+    # the first four once leaked a bare ValueError, coeffs-str too; risings-2 was accepted;
+    # reverse-float and reverse-str leaked a bare TypeError, the other two were reversed
     with pytest.raises(ParameterError, match=match):
         call()
 

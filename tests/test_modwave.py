@@ -241,6 +241,7 @@ def test_bit_reverse_involution_and_counter_bijection(n, data):
     sf = data.draw(st.integers(0, n - 1))
     value = data.draw(st.integers(0, (1 << sf) - 1 if sf else 0))
     assert bit_reverse(bit_reverse(value, sf), sf) == value
+    assert np.all(bit_reverse(np.array([value], np.uint16), sf) == bit_reverse(value, sf))
     cr = rearranged_counter(n, sf)
     assert np.array_equal(np.sort(cr), np.arange(1 << n))
     # element-wise: low n-sf counter bits on top, top sf bits reversed below
