@@ -254,7 +254,8 @@ def dc_average(
                 )
         return float(np.mean(arg.samples))
     if duty is None:
-        raise ParameterError("dc_average takes an AnalogTrace or (config, duty[, em])")
+        raise ParameterError("duty must be given with a ModulatorConfig: dc_average takes an "
+                             "AnalogTrace or (config, duty[, em])")
     cfg = arg
     duty = _coerce_duty(cfg, duty)
     pulses = count_pulses(generate(cfg, duty))

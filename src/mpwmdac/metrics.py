@@ -142,7 +142,7 @@ def cutoff_rule_of_thumb(n: int, ripple_lsb: float) -> float:
     """Classic PWM design rule f_c*T = 0.81 * sqrt(ripple / 2**n)."""
     n = _require_int("n", n, 2, 16)
     ripple_lsb = _require_real("ripple_lsb", ripple_lsb)
-    return 0.81 * np.sqrt(ripple_lsb / (1 << n))
+    return 0.81 * math.sqrt(ripple_lsb / (1 << n))
 
 
 def _ripple_margin(cfg: ModulatorConfig) -> float:
@@ -338,11 +338,13 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
 class CutoffResult:
     """Outcome of the required-cutoff search.
 
-    sweeps counts the full sweeps over every duty code, and ripple_checks
-    the harmonic-route ripple evaluations of witness codes and screen
-    re-checks, whether their spectra were cached or not.  The re-check
-    count depends on the screen a sweep runs (`_worst_ripple`), exact edge
-    phasors or running sums; the other fields do not.
+    sweeps counts the full sweeps over every duty code: at the guess, at
+    each confirmation and at the reported cutoff.  ripple_checks counts the
+    harmonic-route ripple evaluations of watched codes at each step of each
+    run of the bisection and of screen re-checks, whether the ripple was
+    filtered then or kept from an earlier step.  The re-check count depends
+    on the screen a sweep runs (`_worst_ripple`), exact edge phasors or
+    running sums; the other fields do not.
     """
 
     f_ct: float
@@ -359,67 +361,106 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     """Largest normalized cutoff f_c*T keeping worst-case ripple in budget.
 
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
-    geometrically down to hi/lo <= 1 + _REL_TOL against the exact worst
-    steady ripple over all duty codes (`worst_steady_ripple`).  Before each
-    full sweep the worst code of the previous one is evaluated alone: if
-    its ripple already exceeds the target, so does the maximum, and the
-    step moves hi (or lo while halving) without a sweep.  The reported
-    ripple and code always come from a full sweep.  Bisection assumes that
-    ripple is non-decreasing in f_c*T.  It holds on [1e-3, SN] for every
-    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
-    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
-    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For
-    PWM the rule-of-thumb closed form is reported alongside.
+    geometrically down to hi/lo <= 1 + _REL_TOL against the worst steady
+    ripple over all duty codes (`worst_steady_ripple`).  One sweep at the
+    guess gives the first watched code.  Every other step evaluates the
+    watched codes alone: if one exceeds the target, so does the maximum,
+    and the step is out of budget, as is a step at or above an f_c*T whose
+    sweep exceeded it; else the step is held in budget.  One sweep then
+    confirms the largest f_c*T held in budget.  If another code exceeds the
+    target there, it joins the watched codes, and the bracket and bisection
+    run again; a code that exceeds is checked first from then on.  Each
+    harmonic ripple is kept by (code, f_c*T), so a rerun filters nothing
+    twice.  The reported ripple and code come from a sweep at the final lo.
+    The result is that of a sweep at every step wherever the worst ripple
+    is non-decreasing in f_c*T, which bisection assumes anyway.  That
+    holds on [1e-3, SN] for every PWM/MPWM/PCM config with n <= 8, for PWM,
+    MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM sf 3 at n = 12;
+    the first decrease seen lies near 1.45 * SN (PWM), where the ripple
+    exceeds full scale.  For PWM the rule-of-thumb closed form is reported
+    alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
     period = cfg.period
     spectra = _Spectra(cfg)
-    witness = None  # worst code of the last full sweep
-    sweeps = checks = 0
+    ripples: dict[float, dict[int, float]] = {}  # harmonic ripple by f_cT, then code
+    swept: dict[float, tuple[float, int]] = {}  # (worst ripple, its code) by f_cT
+    watched: list[int] = []  # the codes that decide a step, the last to exceed first
+    tuned = None  # the f_cT spectra is tuned to
+    top = 0.0  # the largest f_cT held in budget in this run of the bisection
+    checks = 0
 
-    def within(f_ct: float) -> tuple[float, int] | None:
-        """(worst ripple, its code) at f_ct, or None when it exceeds the target."""
-        nonlocal witness, sweeps, checks
-        try:
-            fm = FilterModel(f_ct / period)
-        except ParameterError:
-            raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, f_c = "
-                                 f"{f_ct / period} Hz, outside FilterModel's range") from None
-        spectra.tune(fm)
-        if witness is not None:
+    def tune(f_ct: float) -> None:
+        """Tune spectra to f_ct; its ripples there land in `ripples[f_ct]`."""
+        nonlocal tuned
+        if f_ct != tuned:
+            try:
+                fm = FilterModel(f_ct / period)
+            except ParameterError:
+                raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, "
+                                     f"f_c = {f_ct / period} Hz, outside FilterModel's range") from None
+            spectra.tune(fm)
+            spectra.ripples, tuned = ripples.setdefault(f_ct, {}), f_ct
+
+    def sweep(f_ct: float) -> tuple[float, int]:
+        """(worst ripple, its code) at f_ct, from one sweep per f_ct."""
+        nonlocal checks
+        if f_ct not in swept:
+            tune(f_ct)
+            ripple, code, rechecks = _worst_ripple(spectra)
+            swept[f_ct] = ripple, code
+            checks += rechecks
+        return swept[f_ct]
+
+    def within(f_ct: float) -> bool:
+        """Whether f_ct lies below every f_cT swept out of budget and every watched code is
+        within the target there."""
+        nonlocal top, checks
+        if any(f_ct >= f and r > ripple_target for f, (r, _) in swept.items()):
+            return False
+        for i, code in enumerate(watched):
             checks += 1
-            if spectra.ripple(witness) > ripple_target:
-                return None
-        ripple, witness, rechecks = _worst_ripple(spectra)
-        sweeps += 1
-        checks += rechecks
-        return (ripple, witness) if ripple <= ripple_target else None
+            if code not in ripples.get(f_ct, ()):
+                tune(f_ct)
+                spectra.ripple(code)
+            if ripples[f_ct][code] > ripple_target:
+                watched.insert(0, watched.pop(i))
+                return False
+        top = max(top, f_ct)
+        return True
 
-    guess = float(cutoff_rule_of_thumb(cfg.n, ripple_target)) * max(1, cfg.sn)
+    guess = cutoff_rule_of_thumb(cfg.n, ripple_target) * max(1, cfg.sn)
     _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
-    lo, hi = guess, guess
-    at_lo = within(lo)
-    hi_within = at_lo is not None
-    tested = [lo]
-    while at_lo is None and lo / 2.0 >= _F_CT_FLOOR:
-        lo /= 2.0
-        tested.append(lo)
-        at_lo = within(lo)
-    while hi_within and hi * 2.0 <= 16.0:
-        hi *= 2.0
-        tested.append(hi)
-        hi_within = within(hi) is not None
-    if at_lo is None or hi_within:
+    watched.append(sweep(guess)[1])
+    while True:
+        lo = hi = guess
+        tested = [lo]
+        lo_within = hi_within = swept[guess][0] <= ripple_target
+        top = guess if lo_within else 0.0
+        while not lo_within and lo / 2.0 >= _F_CT_FLOOR:
+            lo /= 2.0
+            tested.append(lo)
+            lo_within = within(lo)
+        if not lo_within:  # the guess and each halving exceed the target
+            raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
+        while hi_within and hi * 2.0 <= 16.0:
+            hi *= 2.0
+            tested.append(hi)
+            hi_within = within(hi)
+        while not hi_within and hi / lo > 1.0 + _REL_TOL:
+            mid = np.sqrt(lo * hi)
+            if within(mid):
+                lo = mid
+            else:
+                hi = mid
+        over = next((f for f in (top, lo) if sweep(f)[0] > ripple_target), None)
+        if over is None:
+            break
+        watched.insert(0, swept[over][1])
+    if hi_within:
         raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
-    while hi / lo > 1.0 + _REL_TOL:
-        mid = np.sqrt(lo * hi)
-        at_mid = within(mid)
-        if at_mid is None:
-            hi = mid
-        else:
-            lo, at_lo = mid, at_mid
-    worst_r, worst_duty = at_lo
+    worst_r, worst_duty = swept[lo]
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
     return CutoffResult(
         f_ct=float(lo),
@@ -428,7 +469,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         worst_duty=worst_duty,
         worst_ripple_lsb=worst_r,
         rule_of_thumb_f_ct=rule,
-        sweeps=sweeps,
+        sweeps=len(swept),
         ripple_checks=checks,
     )
 

@@ -10,6 +10,9 @@ committed `tests/data/cutoff_record.json`.
 Rewrite the committed file from the tree on the path with
 
     PYTHONPATH=src python tests/cutoff_record.py [PATH]
+
+which prints each value that moved against the file it replaces, as
+`search: field was -> now`.
 """
 
 import json
@@ -50,6 +53,12 @@ def record() -> dict:
 
 
 if __name__ == "__main__":
+    from test_cutoff_record import _moves
+
     path = Path(sys.argv[1]) if len(sys.argv) > 1 else RECORD
+    fresh = record()
+    if path.exists():
+        was = json.loads(path.read_text())["searches"]
+        print("\n".join(_moves(fresh["fields"], was, fresh["searches"])) or "nothing moved")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")

@@ -34,6 +34,7 @@ from mpwmdac import (
     bit_reverse,
     conversion_rate,
     cutoff_rule_of_thumb,
+    dc_average,
     decoder_states,
     dft_period,
     dnl,
@@ -411,3 +412,9 @@ def test_a_model_of_the_wrong_type_is_refused_by_name(name, got, call):
     kind = {"fm": "FilterModel", "trace": "AnalogTrace", "cfg": "ModulatorConfig"}[name]
     with pytest.raises(ParameterError, match=f"^{name} must be of type {kind}, got {got}$"):
         call()
+
+
+def test_dc_average_of_a_config_without_a_duty_names_duty():
+    # this once named no parameter
+    with pytest.raises(ParameterError, match="^duty must be given with a ModulatorConfig"):
+        dc_average(_CFG)

@@ -1,6 +1,7 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
 import inspect
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_one_sample_per_slot_bounds_the_summed_ripple(n):
 
 def _reference_cutoff(cfg, target):
     """The cutoff search with the per-duty maximum at every step: no screen,
-    no witness.  Returns (f_ct, f_c_hz, worst duty, worst ripple, steps)."""
+    no watched codes.  Returns (f_ct, f_c_hz, worst duty, worst ripple, steps)."""
     steps = 0
 
     def worst_at(f_ct):
@@ -283,8 +284,8 @@ def test_required_cutoff_equals_per_duty_search(n):
             res = required_cutoff(cfg, target)
             *want, steps = _reference_cutoff(cfg, target)
             assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want
-            # a witness settles at least one step without a sweep; every step
-            # after the first checks one witness, and each sweep re-checks
+            # the watched codes settle at least one step without a sweep, and
+            # each sweep re-checks at least one code
             assert 1 <= res.sweeps < steps
             assert res.ripple_checks >= steps - 1 + res.sweeps
 
@@ -331,6 +332,63 @@ def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
     cached = [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)]
     monkeypatch.setattr(metrics, "_CACHE_TERMS", 0)
     assert [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)] == cached
+
+
+def _swept_cutoffs(monkeypatch):
+    """The omega of each sweep `required_cutoff` runs from now on, with its worst ripple."""
+    swept, worst_ripple = [], metrics._worst_ripple
+
+    def recorded(spectra):
+        result = worst_ripple(spectra)
+        swept.append((spectra.omega, result[0]))
+        return result
+
+    monkeypatch.setattr(metrics, "_worst_ripple", recorded)
+    return swept
+
+
+def _omega(cfg, f_ct):
+    return FilterModel(f_ct / cfg.period).omega_c / cfg.f_clk
+
+
+@pytest.mark.parametrize("cfg, target, tested", [
+    # the guess and each halving down to the 1e-6 floor exceed the target
+    (ModulatorConfig.mpwm(5, 4), 6.858710562414266e-12, [6e-06, 3e-06, 1.5e-06]),
+    (ModulatorConfig.mpwm(6, 5), 3.429355281207133e-12, [6e-06, 3e-06, 1.5e-06]),
+    # the guess and each doubling up to f_cT 16 meet it
+    (ModulatorConfig.pwm(2), 5.0, [0.905607530887415, 1.81121506177483, 3.62243012354966,
+                                   7.24486024709932, 14.48972049419864]),
+    (ModulatorConfig.pwm(3), 20.0, [1.2807224523681937, 2.5614449047363874,
+                                    5.122889809472775, 10.24577961894555]),
+    (ModulatorConfig.mpwm(3, 1), 20.0, [2.5614449047363874, 5.122889809472775,
+                                        10.24577961894555]),
+], ids=["floor_mpwm_n5_sf4", "floor_mpwm_n6_sf5", "16_pwm_n2", "16_pwm_n3", "16_mpwm_n3_sf1"])
+def test_required_cutoff_names_each_f_ct_when_it_cannot_bracket_the_target(
+        cfg, target, tested, monkeypatch):
+    swept = _swept_cutoffs(monkeypatch)
+    with pytest.raises(ParameterError, match=re.escape(f"bracket the target; tested f_cT {tested}")):
+        required_cutoff(cfg, target)
+    # a step out of budget needs no sweep; the last doubling held in budget is
+    # confirmed by one before the search gives up
+    last = [tested[-1]] if tested[-1] > tested[0] else []
+    assert [omega for omega, _ in swept] == [_omega(cfg, f) for f in [tested[0], *last]]
+
+
+@pytest.mark.parametrize("cfg", [ModulatorConfig.mpwm(4, 3), ModulatorConfig.mpwm(8, 4)],
+                         ids=["mpwm_n4_sf3", "mpwm_n8_sf4"])
+def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, monkeypatch):
+    filtered, period_of = [], _Spectra._period_of
+
+    def counted(spectra, code):
+        filtered.append((code, spectra.omega))
+        return period_of(spectra, code)
+
+    monkeypatch.setattr(_Spectra, "_period_of", counted)
+    swept = _swept_cutoffs(monkeypatch)
+    required_cutoff(cfg, 0.585)
+    # a confirming sweep found a code past the target, so the bisection ran again
+    assert any(ripple > 0.585 for _, ripple in swept[1:])
+    assert len(filtered) == len(set(filtered))
 
 
 def test_worst_steady_ripple_rejects_fons():
