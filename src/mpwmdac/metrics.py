@@ -443,7 +443,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
             tested.append(lo)
             lo_within = within(lo)
         if not lo_within:  # the guess and each halving exceed the target
-            raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
+            break
         while hi_within and hi * 2.0 <= 16.0:
             hi *= 2.0
             tested.append(hi)
@@ -458,7 +458,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         if over is None:
             break
         watched.insert(0, swept[over][1])
-    if hi_within:
+    if not lo_within or hi_within:
         raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
     worst_r, worst_duty = swept[lo]
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
