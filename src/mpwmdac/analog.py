@@ -291,7 +291,12 @@ def _foh_states(ad: np.ndarray, bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray,
       row.  The kernel rounds a 2-vector product as fma(x1, a1, x0 * a0),
       which a loop over Python floats cannot reproduce.
     - The steps fall into runs over which the pair (u[i], u[i+1]) is
-      constant, and each run computes q = u[i] Bd0 and r = u[i+1] Bd1 once.
+      constant, and each run computes q = u[i] Bd0 and r = u[i+1] Bd1 once,
+      as Python floats.
+    - The adds are Python float adds on the gemv's result v, written back as
+      x[i+1][j] = (v[j] + q[j]) + r[j]: CPython's float add is numpy's IEEE
+      binary64 add, rounded to nearest, and this is lsim's order, so the
+      states keep their bits without a numpy add call per step.
     - In an idle run, u[i] = u[i+1] = 0, q and r are signed zeros, and those
       two adds are dropped.  Adding a zero returns a nonzero float unchanged,
       and no nonzero value depends on the sign of a zero, so only the sign of
@@ -304,17 +309,18 @@ def _foh_states(ad: np.ndarray, bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray,
     firsts = np.concatenate(([0], firsts))  # each run's first step
     lengths = np.diff(firsts, append=u.size - 1).tolist()
     # a one-term matmul u[i] @ Bd is the plain product, so q and r are exact
-    qs = u[firsts, None] * bd0
-    rs = u[firsts + 1, None] * bd1
+    qs = (u[firsts, None] * bd0).tolist()
+    rs = (u[firsts + 1, None] * bd1).tolist()
     idle = ((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist()
     x = states[0]
     rows = iter(states[1:])
-    for n, q, r, skip in zip(lengths, qs, rs, idle):
+    for n, (q0, q1), (r0, r1), skip in zip(lengths, qs, rs, idle):
         for nxt in islice(rows, n):
             x.dot(ad, nxt)  # the method skips np.dot's dispatch
             if not skip:
-                nxt += q
-                nxt += r
+                v0, v1 = nxt.tolist()
+                nxt[0] = (v0 + q0) + r0
+                nxt[1] = (v1 + q1) + r1
             x = nxt
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mpwmdac
 from mpwmdac import (
@@ -164,7 +165,10 @@ def test_filter_preserves_period_mean():
 
 
 def _lsim_response(trace, fm, steady_state):
-    """filter_response as two scipy.signal.lsim runs: the test-only oracle."""
+    """filter_response as two scipy.signal.lsim runs: the test-only oracle.
+
+    lsim squeezes the zero-state output of a one-sample input to a 0-d
+    scalar, so the output is read through np.atleast_1d."""
     from scipy import signal
     from scipy.linalg import expm
 
@@ -172,7 +176,8 @@ def _lsim_response(trace, fm, steady_state):
     u = trace.samples
     dt = 1.0 / trace.sample_rate
     if not steady_state:
-        return signal.lsim((a, b, c, 0.0), u, np.arange(u.size) * dt, X0=np.zeros(2))[1]
+        return np.atleast_1d(signal.lsim((a, b, c, 0.0), u, np.arange(u.size) * dt,
+                                         X0=np.zeros(2))[1])
     u_closed = np.concatenate([u, u[:1]])
     t = np.arange(u_closed.size) * dt
     x_forced = signal.lsim((a, b, c, 0.0), u_closed, t, X0=np.zeros(2))[2][-1]
@@ -184,30 +189,50 @@ _SLOW_EDGES = EdgeModel(t_dr=0.3e-9, t_df=0.1e-9, t_rise=0.5e-9, t_fall=0.6e-9)
 _LATE_EDGES = EdgeModel(t_dr=2e-9, t_df=2e-9, t_rise=0.0, t_fall=0.0)
 
 
+# (config, duty, oversample, edges, f_cT) of the traces held to lsim bit for bit;
+# tests/filter_record.py records their outputs too
+LSIM_ROWS = [
+    (ModulatorConfig.pwm(4), 5, 64, IDEAL_EDGES, 0.3),
+    (ModulatorConfig.pwm(7), 127, 32, _SLOW_EDGES, 0.03),
+    (ModulatorConfig.mpwm(8, 3), 77, 16, _SLOW_EDGES, 0.05),
+    (ModulatorConfig.mpwm(12, 5), 2049, 4, _SLOW_EDGES, 0.003),
+    (ModulatorConfig.pcm(6), 0, 8, IDEAL_EDGES, 0.01),  # lsim's zero-input branch
+    (ModulatorConfig.pcm(10), 513, 4, _SLOW_EDGES, 0.1),
+    # rises 2 ns late and ends low: pass 1 opens with an idle run from the zero state
+    (ModulatorConfig.mpwm(6, 2), 17, 16, _LATE_EDGES, 0.1),
+    (ModulatorConfig.pwm(6), 63, 16, _SLOW_EDGES, 0.1),  # one long high run
+    (ModulatorConfig.fons(6), 21, 16, _SLOW_EDGES, 0.05),  # ramps off the grid
+    (ModulatorConfig.hr_mpwm(8, 2, 3), DutyCode(77, 5), 16, _SLOW_EDGES, 0.05),  # EdgeList
+    (ModulatorConfig.mpwm(6, 2), 17, 128, _SLOW_EDGES, 0.1),
+    (ModulatorConfig.pwm(8), 128, 8, IDEAL_EDGES, 2.0),  # the state settles inside a run
+    # Ad underflows to 0: exact-zero states under the dropped adds
+    (ModulatorConfig.mpwm(6, 2), 17, 8, _SLOW_EDGES, 6.4e23),
+]
+
+
 @pytest.mark.parametrize(
     "cfg, duty, oversample, em, f_ct",
-    [
-        (ModulatorConfig.pwm(4), 5, 64, IDEAL_EDGES, 0.3),
-        (ModulatorConfig.pwm(7), 127, 32, _SLOW_EDGES, 0.03),
-        (ModulatorConfig.mpwm(8, 3), 77, 16, _SLOW_EDGES, 0.05),
-        (ModulatorConfig.mpwm(12, 5), 2049, 4, _SLOW_EDGES, 0.003),
-        (ModulatorConfig.pcm(6), 0, 8, IDEAL_EDGES, 0.01),  # lsim's zero-input branch
-        (ModulatorConfig.pcm(10), 513, 4, _SLOW_EDGES, 0.1),
-        # rises 2 ns late and ends low: pass 1 opens with an idle run from the zero state
-        (ModulatorConfig.mpwm(6, 2), 17, 16, _LATE_EDGES, 0.1),
-        (ModulatorConfig.pwm(6), 63, 16, _SLOW_EDGES, 0.1),  # one long high run
-        (ModulatorConfig.fons(6), 21, 16, _SLOW_EDGES, 0.05),  # ramps off the grid
-        (ModulatorConfig.hr_mpwm(8, 2, 3), DutyCode(77, 5), 16, _SLOW_EDGES, 0.05),  # EdgeList
-        (ModulatorConfig.mpwm(6, 2), 17, 128, _SLOW_EDGES, 0.1),
-        (ModulatorConfig.pwm(8), 128, 8, IDEAL_EDGES, 2.0),  # the state settles inside a run
-        # Ad underflows to 0: exact-zero states under the dropped adds
-        (ModulatorConfig.mpwm(6, 2), 17, 8, _SLOW_EDGES, 6.4e23),
-    ],
+    LSIM_ROWS,
     ids=lambda v: getattr(getattr(v, "kind", None), "value", None),
 )
 def test_filter_response_is_lsim_bit_for_bit(cfg, duty, oversample, em, f_ct):
     trace = to_analog(generate(cfg, duty), em, oversample)
     fm = FilterModel(f_ct / cfg.period)
+    for steady_state in (False, True):
+        out = filter_response(trace, fm, steady_state=steady_state)
+        assert np.array_equal(out.samples, _lsim_response(trace, fm, steady_state))
+
+
+# levels whose random traces hold idle (0 and -0.0), held and one-step runs
+_LEVELS = (0.0, -0.0, 1.0, 0.25, -0.5, 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=64),
+       st.floats(-3.0, math.log10(200.0)))
+def test_filter_response_is_lsim_bit_for_bit_on_random_traces(samples, log_f_ct):
+    trace = AnalogTrace(np.array(samples), 1e6)
+    fm = FilterModel(10.0**log_f_ct * trace.sample_rate / len(samples))
     for steady_state in (False, True):
         out = filter_response(trace, fm, steady_state=steady_state)
         assert np.array_equal(out.samples, _lsim_response(trace, fm, steady_state))
