@@ -528,6 +528,8 @@ def steady_ripple(
     periodic steady state and measures the swing (cross-check path); it
     agrees with the other two within 1%.
     """
+    if method not in ("harmonic", "exact", "time"):
+        raise ParameterError(f"method must be 'harmonic', 'exact' or 'time', got {method!r}")
     if method == "exact":
         edges = _as_edges(generate(cfg, duty))
         if not edges.times.size:
@@ -539,8 +541,6 @@ def steady_ripple(
     if method == "time":
         trace = to_analog(wave, IDEAL_EDGES, oversample)
         return _ripple_lsb(filter_response(trace, fm, steady_state=True).samples, cfg)
-    if method != "harmonic":
-        raise ParameterError(f"method must be 'harmonic', 'exact' or 'time', got {method!r}")
     route = _HarmonicRoute(cfg)
     route.tune(fm)
     return _ripple_lsb(route.period(_dft_bins(wave.bits)), cfg)

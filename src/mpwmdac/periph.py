@@ -250,6 +250,8 @@ def run_script(text: str, periph: MpwmPeripheral | None = None) -> ScriptResult:
             raise PeripheralFault(
                 fault.code, f"line {lineno}: {fault}"
             ) from fault
+        except ParameterError as err:  # a step below one cycle
+            raise ParameterError(f"line {lineno}: {err}") from None
         except ValueError:
             raise ParameterError(
                 f"script syntax error at line {lineno}: {raw!r}"

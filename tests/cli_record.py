@@ -3,25 +3,16 @@
 `ARGVS` names one small argv per output rule of each command.  `record`
 runs each one in-process into a fresh directory and keeps its exit code,
 its stdout with that directory written as `<out>`, its stderr, and each
-file's name, size and sha256.  `tests/test_cli_record.py` compares a fresh
-record with the committed `tests/data/cli_record.json`.
-
-Rewrite the committed file from the tree on the path with
-
-    PYTHONPATH=src python tests/cli_record.py [PATH]
+file's name, size and sha256.
 """
 
 import contextlib
 import hashlib
 import io
-import json
-import platform
 import sys
-import tempfile
 from pathlib import Path
 
-import numpy as np
-
+import records
 from mpwmdac.cli import main
 
 RECORD = Path(__file__).parent / "data" / "cli_record.json"
@@ -82,18 +73,10 @@ def run(argv: list[str], out: Path) -> dict:
 
 
 def record(work: Path) -> dict:
-    """The stack and every argv's outputs, each run into its own directory under `work`."""
+    """The argvs and every argv's outputs, each run into its own directory under `work`."""
     runs = {name: run(argv, work / str(i)) for i, (name, argv) in enumerate(ARGVS.items())}
-    return {
-        "stack": {"python": platform.python_version(), "numpy": np.__version__},
-        "argvs": ARGVS,
-        "runs": runs,
-    }
+    return {"argvs": ARGVS, "runs": runs}
 
 
 if __name__ == "__main__":
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else RECORD
-    with tempfile.TemporaryDirectory() as tmp:
-        text = json.dumps(record(Path(tmp)), indent=1, sort_keys=True) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    records.rewrite(sys.modules[__name__])

@@ -6,27 +6,14 @@ time-route ripple.
 benchmark's seed-1 round (`POINTS`, their parameters written out here).
 `record` keeps the sha256 of `filter_response(...).samples.tobytes()` from
 the zero state and at the periodic steady state for each, the repr of
-`steady_ripple(method="time")` for each point, and the stack.
-`tests/test_filter_record.py` compares a fresh record with the committed
-`tests/data/filter_record.json`.
-
-Rewrite the committed file from the tree on the path with
-
-    PYTHONPATH=src python tests/filter_record.py [PATH]
-
-which prints each value that moved against the file it replaces, as
-`name: table was -> now`.
+`steady_ripple(method="time")` for each point.
 """
 
 import hashlib
-import json
-import platform
 import sys
 from pathlib import Path
 
-import numpy as np
-import scipy
-
+import records
 from mpwmdac import (EdgeModel, FilterModel, Kind, ModulatorConfig, cutoff_rule_of_thumb,
                      filter_response, generate, mpwm_wave, steady_ripple, to_analog)
 from test_analog import LSIM_ROWS
@@ -73,11 +60,9 @@ def _sha256(trace, fm, steady_state: bool) -> str:
     return hashlib.sha256(filter_response(trace, fm, steady_state).samples.tobytes()).hexdigest()
 
 
-def record() -> dict:
-    """The stack, each trace's two output digests and each point's time-route ripple."""
+def record(work: Path) -> dict:
+    """Each trace's two output digests and each point's time-route ripple."""
     return {
-        "stack": {"python": platform.python_version(), "numpy": np.__version__,
-                  "scipy": scipy.__version__},
         "filter_sha256": {name: {"zero_state": _sha256(trace, fm, False),
                                  "steady_state": _sha256(trace, fm, True)}
                           for name, trace, fm in _traces()},
@@ -88,11 +73,4 @@ def record() -> dict:
 
 
 if __name__ == "__main__":
-    from test_filter_record import _moves
-
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else RECORD
-    fresh = record()
-    if path.exists():
-        print("\n".join(_moves(json.loads(path.read_text()), fresh)) or "nothing moved")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+    records.rewrite(sys.modules[__name__])

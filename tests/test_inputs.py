@@ -129,6 +129,13 @@ def test_config_refuses_an_unknown_kind_and_lists_the_kinds(kind):
         ModulatorConfig(kind, 5)
 
 
+@pytest.mark.parametrize("method", ["Exact", "Harmonic", "bogus"])
+def test_steady_ripple_names_a_bad_method_before_the_kind(method):
+    # on hrmpwm these once reported "a slot analysis needs a cycle-quantized kind"
+    with pytest.raises(ParameterError, match="^method must be 'harmonic', 'exact' or 'time'"):
+        steady_ripple(ModulatorConfig.hr_mpwm(6, 2), 3, FilterModel(1e5), method=method)
+
+
 def test_config_takes_the_kind_by_value():
     assert np.array_equal(generate(ModulatorConfig("pwm", 5), 7).bits,
                           generate(ModulatorConfig.pwm(5), 7).bits)

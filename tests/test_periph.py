@@ -213,6 +213,18 @@ def test_run_script_syntax_error_names_line():
         run_script("write 0x04 8\nstep 4\nfrobnicate 1 2\n")
 
 
+@pytest.mark.parametrize("cycles", ["0", "-3", "0x0"])
+def test_run_script_names_cycles_for_a_step_below_one(cycles, tmp_path):
+    # these were once reported as "script syntax error at line 3"
+    text = f"write 0x04 8\nstep 4\nstep {cycles}\n"
+    with pytest.raises(ParameterError, match="^line 3: cycles must be"):
+        run_script(text)
+    (tmp_path / "prog.txt").write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main(["periph", "--script", str(tmp_path / "prog.txt"), "--out", str(tmp_path)]) == 2
+    assert json.loads(stderr.getvalue())["error"] == "parameter_error"
+
+
 def test_run_script_bounds_its_total_cycles():
     assert run_script("step 16\nstep 4194288\n").bits.size == 1 << 22
     with pytest.raises(ParameterError, match="line 2: the script steps more than 4194304"):
