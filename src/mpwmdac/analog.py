@@ -421,11 +421,13 @@ class _HarmonicRoute:
         self.towers = k % cfg.steps
         self.envelope = _hold_envelope(k, cfg.steps)
         self.h = np.ones(0)
+        self.f_c = 0.0  # the tuned cutoff in Hz
         self.omega = 0.0  # the tuned cutoff in rad per slot
 
     def tune(self, fm: FilterModel) -> None:
-        self.h = fm.freq_response(self.f_k)
-        self.omega = fm.omega_c / self.cfg.f_clk
+        if fm.f_c != self.f_c:  # H depends on f_c alone
+            self.h = fm.freq_response(self.f_k)
+            self.f_c, self.omega = fm.f_c, fm.omega_c / self.cfg.f_clk
 
     def gap(self, edges: int, beta: float) -> float:
         """LSB bound on |this route's ripple - the exact route's| for a period of at

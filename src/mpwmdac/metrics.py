@@ -233,21 +233,20 @@ class _Spectra(_HarmonicRoute):
 
     Adds the fill order to the route.  Each code evaluated keeps its 2**n
     DFT bins, up to _CACHE_TERMS bins in all; a code past the cap is
-    transformed again at each use.  A code asked for twice at one cutoff is
-    filtered once.  Code D's bits are the first D slots of the fill order,
-    which are the comparator's, and the route is the one `steady_ripple`
-    runs, so each ripple equals it bit for bit.
+    transformed again at each use.  Each ripple is kept by (f_c, code) for
+    the whole search, so no code is filtered twice at one cutoff, across
+    retunes too, and `checks` counts the ripples asked for.  Code D's bits
+    are the first D slots of the fill order, which are the comparator's,
+    and the route is the one `steady_ripple` runs, so each ripple equals it
+    bit for bit.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
         super().__init__(cfg)
         self.order = _fill_order(cfg)
         self.bins: dict[int, np.ndarray] = {}
-        self.ripples: dict[int, float] = {}
-
-    def tune(self, fm: FilterModel) -> None:
-        super().tune(fm)
-        self.ripples = {}
+        self.ripples: dict[tuple[float, int], float] = {}
+        self.checks = 0
 
     def _period_of(self, code: int) -> np.ndarray:
         """Filtered period of duty code `code` at the tuned cutoff."""
@@ -266,13 +265,15 @@ class _Spectra(_HarmonicRoute):
 
     def ripple(self, code: int) -> float:
         """`steady_ripple` of duty code `code` at the tuned cutoff."""
-        if code not in self.ripples:
-            self.ripples[code] = _ripple_lsb(self._period_of(code), self.cfg)
-        return self.ripples[code]
+        self.checks += 1
+        key = self.f_c, code
+        if key not in self.ripples:
+            self.ripples[key] = _ripple_lsb(self._period_of(code), self.cfg)
+        return self.ripples[key]
 
 
-def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
-    """`worst_steady_ripple` at the tuned cutoff and the number of re-checks it ran.
+def _worst_ripple(spectra: _Spectra) -> tuple[float, int]:
+    """`worst_steady_ripple` at the tuned cutoff.
 
     One sweep gives every code D a screen ripple r_D, and every code with
     r_D >= max r - w is re-checked on the harmonic route, the width w chosen
@@ -315,7 +316,7 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int, int]:
     near = np.nonzero(ripples >= ripples.max() - width)[0] + 1
     exact = [spectra.ripple(int(d)) for d in near]
     best = int(np.argmax(exact))
-    return exact[best], int(near[best]), len(exact)
+    return exact[best], int(near[best])
 
 
 def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int]:
@@ -330,8 +331,7 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
     """
     spectra = _Spectra(cfg)
     spectra.tune(fm)
-    ripple, duty, _ = _worst_ripple(spectra)
-    return ripple, duty
+    return _worst_ripple(spectra)
 
 
 @dataclass(frozen=True)
@@ -340,11 +340,11 @@ class CutoffResult:
 
     sweeps counts the full sweeps over every duty code: at the guess, at
     each confirmation and at the reported cutoff.  ripple_checks counts the
-    harmonic-route ripple evaluations of watched codes at each step of each
-    run of the bisection and of screen re-checks, whether the ripple was
-    filtered then or kept from an earlier step.  The re-check count depends
-    on the screen a sweep runs (`_worst_ripple`), exact edge phasors or
-    running sums; the other fields do not.
+    harmonic-route ripples the search asked for: the watched code's at each
+    step of each run of the bisection and the screen re-checks, whether the
+    ripple was filtered then or kept from earlier.  The re-check count
+    depends on the screen a sweep runs (`_worst_ripple`), exact edge
+    phasors or running sums; the other fields do not.
     """
 
     f_ct: float
@@ -363,76 +363,60 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
     geometrically down to hi/lo <= 1 + _REL_TOL against the worst steady
     ripple over all duty codes (`worst_steady_ripple`).  One sweep at the
-    guess gives the first watched code.  Every other step evaluates the
-    watched codes alone: if one exceeds the target, so does the maximum,
-    and the step is out of budget, as is a step at or above an f_c*T whose
-    sweep exceeded it; else the step is held in budget.  One sweep then
-    confirms the largest f_c*T held in budget.  If another code exceeds the
-    target there, it joins the watched codes, and the bracket and bisection
-    run again; a code that exceeds is checked first from then on.  Each
-    harmonic ripple is kept by (code, f_c*T), so a rerun filters nothing
-    twice.  The reported ripple and code come from a sweep at the final lo.
-    The result is that of a sweep at every step wherever the worst ripple
-    is non-decreasing in f_c*T, which bisection assumes anyway.  That
-    holds on [1e-3, SN] for every PWM/MPWM/PCM config with n <= 8, for PWM,
-    MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM sf 3 at n = 12;
-    the first decrease seen lies near 1.45 * SN (PWM), where the ripple
-    exceeds full scale.  For PWM the rule-of-thumb closed form is reported
-    alongside.
+    guess gives the watched code.  Every other step evaluates the watched
+    code alone: if it exceeds the target, so does the maximum, and the step
+    is out of budget, as is a step at or above an f_c*T whose sweep
+    exceeded it; else the step is held in budget.  One sweep then confirms
+    the largest f_c*T held in budget.  If another code exceeds the target
+    there, it becomes the watched code, and the bracket and bisection run
+    again.  Each harmonic ripple is kept by (f_c, code), so a rerun filters
+    nothing twice.  The reported ripple and code come from a sweep at the
+    final lo.  The result is that of a sweep at every step wherever the
+    worst ripple is non-decreasing in f_c*T, which bisection assumes
+    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
+    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and
+    MPWM sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM),
+    where the ripple exceeds full scale.  For PWM the rule-of-thumb closed
+    form is reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
     period = cfg.period
     spectra = _Spectra(cfg)
-    ripples: dict[float, dict[int, float]] = {}  # harmonic ripple by f_cT, then code
     swept: dict[float, tuple[float, int]] = {}  # (worst ripple, its code) by f_cT
-    watched: list[int] = []  # the codes that decide a step, the last to exceed first
-    tuned = None  # the f_cT spectra is tuned to
     top = 0.0  # the largest f_cT held in budget in this run of the bisection
-    checks = 0
 
     def tune(f_ct: float) -> None:
-        """Tune spectra to f_ct; its ripples there land in `ripples[f_ct]`."""
-        nonlocal tuned
-        if f_ct != tuned:
-            try:
-                fm = FilterModel(f_ct / period)
-            except ParameterError:
-                raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, "
-                                     f"f_c = {f_ct / period} Hz, outside FilterModel's range") from None
-            spectra.tune(fm)
-            spectra.ripples, tuned = ripples.setdefault(f_ct, {}), f_ct
+        try:
+            fm = FilterModel(f_ct / period)
+        except ParameterError:
+            raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, "
+                                 f"f_c = {f_ct / period} Hz, outside FilterModel's range") from None
+        spectra.tune(fm)
 
     def sweep(f_ct: float) -> tuple[float, int]:
         """(worst ripple, its code) at f_ct, from one sweep per f_ct."""
-        nonlocal checks
         if f_ct not in swept:
             tune(f_ct)
-            ripple, code, rechecks = _worst_ripple(spectra)
-            swept[f_ct] = ripple, code
-            checks += rechecks
+            swept[f_ct] = _worst_ripple(spectra)
         return swept[f_ct]
 
     def within(f_ct: float) -> bool:
-        """Whether f_ct lies below every f_cT swept out of budget and every watched code is
+        """Whether f_ct lies below every f_cT swept out of budget and the watched code is
         within the target there."""
-        nonlocal top, checks
+        nonlocal top
         if any(f_ct >= f and r > ripple_target for f, (r, _) in swept.items()):
             return False
-        for i, code in enumerate(watched):
-            checks += 1
-            if code not in ripples.get(f_ct, ()):
-                tune(f_ct)
-                spectra.ripple(code)
-            if ripples[f_ct][code] > ripple_target:
-                watched.insert(0, watched.pop(i))
-                return False
+        tune(f_ct)
+        if spectra.ripple(watched) > ripple_target:
+            return False
         top = max(top, f_ct)
         return True
 
-    guess = cutoff_rule_of_thumb(cfg.n, ripple_target) * max(1, cfg.sn)
+    rule = cutoff_rule_of_thumb(cfg.n, ripple_target)
+    guess = rule * max(1, cfg.sn)
     _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
-    watched.append(sweep(guess)[1])
+    watched = sweep(guess)[1]  # the code that decides a step
     while True:
         lo = hi = guess
         tested = [lo]
@@ -457,20 +441,19 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         over = next((f for f in (top, lo) if sweep(f)[0] > ripple_target), None)
         if over is None:
             break
-        watched.insert(0, swept[over][1])
+        watched = swept[over][1]
     if not lo_within or hi_within:
         raise ParameterError(f"cutoff search could not bracket the target; tested f_cT {tested}")
     worst_r, worst_duty = swept[lo]
-    rule = cutoff_rule_of_thumb(cfg.n, ripple_target) if cfg.kind == Kind.PWM else None
     return CutoffResult(
         f_ct=float(lo),
         f_c_hz=float(lo / period),
         ripple_target_lsb=ripple_target,
         worst_duty=worst_duty,
         worst_ripple_lsb=worst_r,
-        rule_of_thumb_f_ct=rule,
+        rule_of_thumb_f_ct=rule if cfg.kind == Kind.PWM else None,
         sweeps=len(swept),
-        ripple_checks=checks,
+        ripple_checks=spectra.checks,
     )
 
 

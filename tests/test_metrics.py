@@ -30,6 +30,7 @@ from mpwmdac import (
     worst_steady_ripple,
 )
 from mpwmdac import metrics
+from mpwmdac.analog import _HarmonicRoute
 from mpwmdac.metrics import (
     _F_CT_FLOOR,
     _REL_TOL,
@@ -249,7 +250,7 @@ def test_one_sample_per_slot_bounds_the_summed_ripple(n):
 
 def _reference_cutoff(cfg, target):
     """The cutoff search with the per-duty maximum at every step: no screen,
-    no watched codes.  Returns (f_ct, f_c_hz, worst duty, worst ripple, steps)."""
+    no watched code.  Returns (f_ct, f_c_hz, worst duty, worst ripple, steps)."""
     steps = 0
 
     def worst_at(f_ct):
@@ -284,7 +285,7 @@ def test_required_cutoff_equals_per_duty_search(n):
             res = required_cutoff(cfg, target)
             *want, steps = _reference_cutoff(cfg, target)
             assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want
-            # the watched codes settle at least one step without a sweep, and
+            # the watched code settles at least one step without a sweep, and
             # each sweep re-checks at least one code
             assert 1 <= res.sweeps < steps
             assert res.ripple_checks >= steps - 1 + res.sweeps
@@ -307,8 +308,14 @@ def test_required_cutoff_equals_per_duty_search_n8(cfg):
 def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
     # first cutoff: the first ten codes keep their bins and the rest are
     # transformed again at each use; a second request at one cutoff reads
-    # the remembered ripple
+    # the remembered ripple, also back at the first cutoff after the others
     monkeypatch.setattr(metrics, "_CACHE_TERMS", 10 * 64)
+    filtered, period = [], _HarmonicRoute.period
+
+    def counted(route, bins):
+        filtered.append(route.omega)
+        return period(route, bins)
+
     for cfg in ripple_configs(6):
         spectra = _Spectra(cfg)
         for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
@@ -321,6 +328,13 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
                 assert spectra.ripple(d) == want, (cfg, f_ct, d)
                 assert spectra.ripple(d) == want, (cfg, f_ct, d)
         assert sorted(spectra.bins) == list(range(10)), cfg
+        fm = FilterModel(0.003 / cfg.period)
+        want = [steady_ripple(cfg, d, fm) for d in range(cfg.steps)]
+        spectra.tune(fm)
+        monkeypatch.setattr(_HarmonicRoute, "period", counted)
+        assert [spectra.ripple(d) for d in range(cfg.steps)] == want, cfg
+        monkeypatch.setattr(_HarmonicRoute, "period", period)
+        assert filtered == [], cfg
 
 
 @pytest.mark.parametrize("cfg", [
@@ -389,6 +403,44 @@ def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, monke
     # a confirming sweep found a code past the target, so the bisection ran again
     assert any(ripple > 0.585 for _, ripple in swept[1:])
     assert len(filtered) == len(set(filtered))
+
+
+@pytest.mark.parametrize("cfg", [
+    ModulatorConfig.pwm(8),
+    ModulatorConfig.mpwm(8, 4),
+    ModulatorConfig.pcm(7),
+], ids=["pwm", "mpwm_sf4", "pcm_n7"])
+def test_ripple_checks_count_the_ripples_asked_for_one_a_step(cfg, monkeypatch):
+    ripple, tune, worst_ripple = _Spectra.ripple, _HarmonicRoute.tune, metrics._worst_ripple
+    runs, sweeping = [], [False]  # each run of the bisection: each step's codes asked for
+
+    def asked(spectra, code):
+        calls.append(code)
+        if not sweeping[0]:
+            runs[-1][-1].append(code)
+        return ripple(spectra, code)
+
+    def tuned(spectra, fm):  # each step tunes once, and so does each sweep
+        runs[-1].append([])
+        tune(spectra, fm)
+
+    def swept(spectra):
+        sweeping[0] = True
+        result = worst_ripple(spectra)
+        sweeping[0] = False
+        runs.append([])
+        return result
+
+    monkeypatch.setattr(_Spectra, "ripple", asked)
+    monkeypatch.setattr(_HarmonicRoute, "tune", tuned)
+    monkeypatch.setattr(metrics, "_worst_ripple", swept)
+    for target in (0.25, 0.585, 1.0):
+        calls, runs[:] = [], [[]]
+        res = required_cutoff(cfg, target)
+        assert res.ripple_checks == len(calls), target
+        for steps in runs:  # one watched code, asked for once at each step
+            assert all(len(codes) <= 1 for codes in steps), target
+            assert len({code for codes in steps for code in codes}) <= 1, target
 
 
 def test_worst_steady_ripple_rejects_fons():
