@@ -271,11 +271,11 @@ class DecoderState:
 
 
 def bit_reverse(value: int | np.ndarray, bits: int) -> int | np.ndarray:
-    """Reverse the low `bits` bits of a non-negative int or int array (0 bits -> 0)."""
+    """Reverse the low `bits` bits of a non-negative int or int array (0 bits -> zeros)."""
     _require_int("bits", bits, 0)
     array = isinstance(value, np.ndarray) and value.dtype.kind in "iu"
     _require_int("value", value.min(initial=0) if array else value, 0)
-    out = 0
+    out = value & 0
     for i in range(bits):
         out |= ((value >> i) & 1) << (bits - 1 - i)
     return out
@@ -337,12 +337,9 @@ def decoder_states(cfg: ModulatorConfig, duty: int | DutyCode) -> list[DecoderSt
     sub = cfg.steps >> cfg.sf
     data = duty.coarse >> cfg.sf
     rem = duty.coarse & (cfg.sn - 1)
-    states = []
-    for sn_pos in range(cfg.sn):
-        width = data + (1 if bit_reverse(sn_pos, cfg.sf) < rem else 0)
-        wav = (np.arange(sub) < width).astype(np.uint8)
-        states.append(DecoderState(sn_pos=sn_pos, data=data, wav=wav))
-    return states
+    widths = data + (bit_reverse(np.arange(cfg.sn), cfg.sf) < rem)
+    words = (np.arange(sub) < widths[:, None]).astype(np.uint8)
+    return [DecoderState(sn_pos=sn_pos, data=data, wav=wav) for sn_pos, wav in enumerate(words)]
 
 
 def mpwm_wave_decoder(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:

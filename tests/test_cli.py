@@ -628,7 +628,8 @@ def test_docstring_schemas_match_written_column_lines(tmp_path, capsys):
 
 
 def test_main_repeats_byte_identical_in_one_process(tmp_path, capsys):
-    """The parser is built once per process; no run changes what a later run parses."""
+    """The parser is built once per process; no run changes what a later run parses or
+    what it writes over the files of an earlier one."""
     script = tmp_path / "prog.txt"
     script.write_text("write 0x04 6\nwrite 0x08 9\nwrite 0x00 0x21\nstep 200\nread 0x10\n")
     argvs = [
@@ -652,5 +653,22 @@ def test_main_repeats_byte_identical_in_one_process(tmp_path, capsys):
     assert all(code == 0 for (code, _, _), _ in first)
     assert run(["repro", "--figure", "cutoff_vs_resolution"])[0][0] == 0  # default lists
     assert [run(argv) for argv in argvs] == first
+    # Over existing files, first longer and then shorter than the new ones, every file
+    # is rewritten to the fresh run's bytes.  A directory in a data file's place is an
+    # io_error.
+    for argv, (result, files) in zip(argvs, first):
+        out.mkdir()
+        for stale_size in (lambda size: 2 * size + 1000, lambda size: size // 2):
+            for name, data in files.items():
+                (out / name).write_bytes(b"#" * stale_size(len(data)))
+            assert run_cli(capsys, *argv, "--out", str(out)) == result
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+        if files:
+            shutil.rmtree(out)
+            (out / min(files)).mkdir(parents=True)
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert json.loads(err, parse_constant=_reject_constant)["error"] == "io_error"
+        shutil.rmtree(out)
     defaults = _parser().parse_args(["repro", "--figure", "settling"])
     assert (defaults.n_list, defaults.sf_list) == ([8, 10, 12], [0, 3, 7])

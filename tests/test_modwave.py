@@ -253,6 +253,18 @@ def test_bit_reverse_involution_and_counter_bijection(n, data):
     assert cr.tolist() == expected
 
 
+@pytest.mark.parametrize("bits", [0, 1])
+def test_bit_reverse_of_zero_and_one_bits_keeps_the_input_type(bits):
+    """An int gives an int and an array an array of its dtype, even with no bits to move."""
+    value = np.array([0, 1, 2, 3], np.uint16)
+    expected = value & 1 if bits else np.zeros(4, np.uint16)
+    out = bit_reverse(value, bits)
+    assert isinstance(out, np.ndarray) and out.dtype == np.uint16
+    assert out.tolist() == expected.tolist()
+    ints = [bit_reverse(v, bits) for v in range(4)]
+    assert ints == expected.tolist() and all(type(i) is int for i in ints)
+
+
 # -- parameter validation -----------------------------------------------------------
 
 
