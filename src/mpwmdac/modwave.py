@@ -288,13 +288,14 @@ def rearranged_counter(n: int, sf: int) -> np.ndarray:
     kept; its top sf bits move to the bottom with their significance
     reversed.  The map is a bit permutation, hence a bijection on
     [0, 2**n): exactly D counter states satisfy C_R < D for any duty D.
+    Built as an outer sum, C_R.reshape(SN, 2**n / SN) = low * SN +
+    bit_reverse(top, sf), so only the 2**sf top values are reversed.
     """
     n = _require_int("n", n, 2, 16)
     sf = _require_int("sf", sf, 0, n - 1)
-    size = 1 << n
-    sub = size >> sf
-    c = np.arange(size, dtype=np.int64)
-    return (c % sub) * (1 << sf) + bit_reverse(c // sub, sf)
+    sn = 1 << sf
+    rows = bit_reverse(np.arange(sn, dtype=np.int64), sf)[:, None]  # the top sf bits, reversed
+    return (np.arange((1 << n) >> sf, dtype=np.int64) * sn + rows).reshape(-1)
 
 
 def _require_mpwm_family(cfg: ModulatorConfig) -> None:
@@ -325,6 +326,17 @@ def mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
     return BitWaveform((cr < duty.coarse).astype(np.uint8), cfg.f_clk)
 
 
+def _decoder_words(cfg: ModulatorConfig, duty: int | DutyCode) -> tuple[int, np.ndarray]:
+    """The decoder's wave-select value `data` and its (SN, 2**n / SN) 0/1 words,
+    one row per sub-region, built without C_R."""
+    _require_mpwm_family(cfg)
+    duty = _coerce_duty(cfg, duty)
+    data = duty.coarse >> cfg.sf
+    rem = duty.coarse & (cfg.sn - 1)
+    widths = data + (bit_reverse(np.arange(cfg.sn), cfg.sf) < rem)
+    return data, (np.arange(cfg.steps >> cfg.sf) < widths[:, None]).astype(np.uint8)
+
+
 def decoder_states(cfg: ModulatorConfig, duty: int | DutyCode) -> list[DecoderState]:
     """Sub-region decoder view: one wave word per sub-region.
 
@@ -332,13 +344,7 @@ def decoder_states(cfg: ModulatorConfig, duty: int | DutyCode) -> list[DecoderSt
     remainder r = D mod SN is distributed one extra cycle at a time to the
     sub-regions whose bit-reversed index is below r.
     """
-    _require_mpwm_family(cfg)
-    duty = _coerce_duty(cfg, duty)
-    sub = cfg.steps >> cfg.sf
-    data = duty.coarse >> cfg.sf
-    rem = duty.coarse & (cfg.sn - 1)
-    widths = data + (bit_reverse(np.arange(cfg.sn), cfg.sf) < rem)
-    words = (np.arange(sub) < widths[:, None]).astype(np.uint8)
+    data, words = _decoder_words(cfg, duty)
     return [DecoderState(sn_pos=sn_pos, data=data, wav=wav) for sn_pos, wav in enumerate(words)]
 
 
@@ -348,9 +354,8 @@ def mpwm_wave_decoder(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform
     Must be bit-identical to `mpwm_wave` for all inputs; the two paths are
     mutual oracles.
     """
-    states = decoder_states(cfg, duty)
-    bits = np.concatenate([st.wav for st in states])
-    return BitWaveform(bits, cfg.f_clk)
+    _, words = _decoder_words(cfg, duty)
+    return BitWaveform(words.reshape(-1), cfg.f_clk)
 
 
 def fons_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:

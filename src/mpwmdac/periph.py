@@ -274,20 +274,42 @@ _VCD_HEADER = (
 )
 
 
-def _dump(prefix: str, values: np.ndarray, bits: np.ndarray,
-          row: tuple[str, str, str], suffix: str) -> str:
-    """`prefix`, then one row `head value sep bit tail` per value, then `suffix`.
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
-    `values` are non-negative and non-decreasing, so the rows of each decimal
-    width are adjacent.  Each such block is one (rows, width) byte table of the
-    output buffer, filled a column at a time: the constant bytes by broadcast,
-    the digits by repeated divmod by 10 in the smallest unsigned type that
-    holds the block, and the bit as ord("0") + bit.
+
+def _decades(lo: int, hi: int, width: int):
+    """Split the `width`-digit block [lo, hi), lo = 0 or 10**(width - 1), into
+    chunks (v, k, c) of the c 10**k values from v, a multiple of 10**k: in a
+    chunk the digits above place k are v's, digit k runs through c values
+    from v's, and the k low digits through all 10**k combinations in order."""
+    v = lo
+    for k in range(width - 1, -1, -1):
+        c = (hi - v) // 10**k  # what is left is below 10**(k + 1), so c <= 9
+        if c:
+            yield v, k, c
+            v += c * 10**k
+
+
+def _dump(prefix: str, values: np.ndarray | None, bits: np.ndarray,
+          row: tuple[str, str, str], suffix: str) -> str:
+    """`prefix`, then one row `head value sep bit tail` per bit, then `suffix`.
+
+    `values` are non-negative and non-decreasing, one per bit, so the rows of
+    each decimal width are adjacent; None stands for the row index 0, 1, 2, ...
+    Each such block is one (rows, width) byte table of the output buffer,
+    filled a column at a time: each constant byte by a fill and the bit as
+    ord("0") + bit.  Given values are written by repeated divmod by 10 in the
+    smallest unsigned type that holds the block.  The row index is written by
+    `_decades` chunks with no division: each digit column of a chunk is one
+    broadcast assignment into a reshape of the chunk's rows.
     """
-    head, sep, tail = (np.frombuffer(s.encode(), dtype=np.uint8) for s in row)
-    fixed = head.size + sep.size + 1 + tail.size
-    digits = len(str(values[-1])) if values.size else 1
-    bounds = [0, *np.searchsorted(values, 10 ** np.arange(1, digits)).tolist(), values.size]
+    head, sep, tail = (s.encode() for s in row)
+    fixed = len(head) + len(sep) + 1 + len(tail)
+    count = bits.size
+    digits = len(str(count - 1 if values is None else values[-1])) if count else 1
+    powers = 10 ** np.arange(1, digits)
+    cuts = np.minimum(powers, count) if values is None else np.searchsorted(values, powers)
+    bounds = [0, *cuts.tolist(), count]
     blocks = list(zip(range(1, digits + 1), bounds, bounds[1:]))
     buf = np.empty(len(prefix) + sum((hi - lo) * (fixed + width) for width, lo, hi in blocks)
                    + len(suffix), dtype=np.uint8)
@@ -299,17 +321,29 @@ def _dump(prefix: str, values: np.ndarray, bits: np.ndarray,
             continue
         table = buf[start:start + (hi - lo) * (fixed + width)].reshape(hi - lo, fixed + width)
         start += table.size
-        end = head.size + width  # one past the last digit column
-        table[:, : head.size] = head
-        table[:, end:end + sep.size] = sep
-        table[:, end + sep.size + 1:] = tail
-        value = values[lo:hi].astype(np.min_scalar_type(values[hi - 1]))
-        digit = np.empty_like(value)
-        for col in range(end - 1, head.size, -1):
-            np.divmod(value, 10, out=(value, digit))
-            np.add(digit, ord("0"), out=table[:, col], casting="unsafe")
-        np.add(value, ord("0"), out=table[:, head.size], casting="unsafe")
-        np.add(bits[lo:hi], ord("0"), out=table[:, end + sep.size])
+        end = len(head) + width  # one past the last digit column
+        # a column at a time: numpy fills a strided column with one byte far
+        # faster than it broadcasts a short byte string across rows
+        for col, byte in enumerate(head + bytes(width) + sep + b"\0" + tail):
+            if byte:  # 0 marks a digit or the bit
+                table[:, col] = byte
+        np.add(bits[lo:hi], ord("0"), out=table[:, end + len(sep)])
+        if values is not None:
+            value = values[lo:hi].astype(np.min_scalar_type(values[hi - 1]))
+            digit = np.empty_like(value)
+            for col in range(end - 1, len(head), -1):
+                np.divmod(value, 10, out=(value, digit))
+                np.add(digit, ord("0"), out=table[:, col], casting="unsafe")
+            np.add(value, ord("0"), out=table[:, len(head)], casting="unsafe")
+            continue
+        for v, k, c in _decades(lo, hi, width):
+            rows = table[v - lo:v - lo + c * 10**k]
+            for col, byte in enumerate(str(v)[: width - 1 - k].encode(), len(head)):
+                rows[:, col] = byte  # the digits above place k
+            d = v // 10**k % 10
+            rows.reshape(c, 10**k, -1)[:, :, end - 1 - k] = _DIGITS[d:d + c, None]
+            for m in range(k):
+                rows.reshape(-1, 10, 10**m, table.shape[1])[:, :, :, end - 1 - m] = _DIGITS[:, None]
     return str(buf, "ascii")
 
 
@@ -319,14 +353,15 @@ def trace_to_vcd(bits: np.ndarray) -> str:
     `bits` must be a 1-D array of 0/1 values (bool is fine); anything else
     raises ParameterError.  After the header and the value at `#0`, each edge
     at cycle i is a row `#<10 i>` / `<bit>!`; a `#<10 * cycles>` line closes
-    the dump.  Edge times rise, so the rows of each digit count are one
-    fixed-width byte table, built by `_dump`.
+    the dump.  Edge cycles rise, so the rows of each digit count are one
+    fixed-width byte table, built by `_dump` from the digits of i with the
+    time's trailing 0 as a constant byte of the row.
     """
     bits = _require_bits(bits)
     edges = np.flatnonzero(np.diff(bits)) + 1
     first = "1!\n" if bits.size and bits[0] else "0!\n"
     end = f"#{10 * bits.size}\n" if bits.size else ""
-    return _dump(_VCD_HEADER + first, 10 * edges, bits[edges], ("#", "\n", "!\n"), end)
+    return _dump(_VCD_HEADER + first, edges, bits[edges], ("#", "0\n", "!\n"), end)
 
 
 def trace_to_csv(bits: np.ndarray) -> str:
@@ -334,7 +369,8 @@ def trace_to_csv(bits: np.ndarray) -> str:
 
     `bits` must be a 1-D array of 0/1 values (bool is fine); anything else
     raises ParameterError.  Cycles rise by one per row, so the rows of each
-    digit count are one fixed-width byte table, built by `_dump`.
+    digit count are one fixed-width byte table, built by `_dump`, whose cycle
+    digits are filled by decimal chunks, by broadcast and without division.
     """
     bits = _require_bits(bits)
-    return _dump("cycle,out\n", np.arange(bits.size), bits, ("", ",", "\n"), "")
+    return _dump("cycle,out\n", None, bits, ("", ",", "\n"), "")

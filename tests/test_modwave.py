@@ -69,6 +69,23 @@ def test_decoder_states_for_d19():
     assert np.array_equal(states[2].wav, np.array([1, 1, 1, 1, 1, 0, 0, 0]))
 
 
+def test_decoder_never_reads_the_rearranged_counter(monkeypatch):
+    from mpwmdac import modwave
+
+    cases = [(ModulatorConfig.mpwm(n, sf), duty) for n, sf in ((5, 0), (5, 2), (7, 6), (9, 4))
+             for duty in (0, 1, 19, 31)]
+    want = [mpwm_wave(cfg, duty).bits for cfg, duty in cases]
+
+    def unread(n, sf):
+        raise AssertionError("the decoder read C_R")
+
+    monkeypatch.setattr(modwave, "rearranged_counter", unread)
+    for (cfg, duty), bits in zip(cases, want):
+        assert np.array_equal(mpwm_wave_decoder(cfg, duty).bits, bits), (cfg, duty)
+        words = [st.wav for st in modwave.decoder_states(cfg, duty)]
+        assert np.array_equal(np.concatenate(words), bits), (cfg, duty)
+
+
 def test_decoder_d31_all_but_one_high():
     wave = mpwm_wave_decoder(ModulatorConfig.mpwm(5, 2), 31)
     assert wave.duty_count == 31
@@ -251,6 +268,17 @@ def test_bit_reverse_involution_and_counter_bijection(n, data):
         for c in range(1 << n)
     ]
     assert cr.tolist() == expected
+
+
+@pytest.mark.parametrize("n, sf", [*((n, sf) for n in range(2, 13) for sf in range(n)),
+                                   (16, 0), (16, 8), (16, 15)])
+def test_rearranged_counter_equals_the_per_state_split(n, sf):
+    # C_R of each counter state c on its own: c % sub moves up sf bits, c // sub is reversed
+    sub = (1 << n) >> sf
+    c = np.arange(1 << n, dtype=np.int64)
+    expected = (c % sub) * (1 << sf) + bit_reverse(c // sub, sf)
+    cr = rearranged_counter(n, sf)
+    assert cr.dtype == np.int64 and np.array_equal(cr, expected)
 
 
 @pytest.mark.parametrize("bits", [0, 1])

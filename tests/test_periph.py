@@ -320,7 +320,9 @@ def vcd_reference(bits) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("size", [0, 1, 10, 11, 100, 101, 1000, 1001, 16384, 100001])
+# each digit width's first and last row, and last blocks that stop mid-decade
+@pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10001,
+                                  12345, 16384, 99999, 100000, 100001, 123457])
 def test_csv_dump_equals_per_row_format(size):
     rng = np.random.default_rng(size)
     bits = rng.integers(0, 2, size)
@@ -331,8 +333,17 @@ def test_csv_dump_equals_per_row_format(size):
             trace_to_csv(wide)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 17), st.integers(0, 2**32 - 1))
+def test_csv_dump_of_any_length_equals_per_row_format(size, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size)
+    got, want = trace_to_csv(bits).splitlines(), csv_reference(bits).splitlines()
+    wrong = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert (wrong, len(got)) == (None, len(want))  # the first wrong line, if any
+
+
 # every change of digit width in the edge times 10 * i, and in the closing time
-@pytest.mark.parametrize("size", [0, 1, 2, 9, 10, 11, 99, 100, 101, 1001, 16384])
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 10, 11, 99, 100, 101, 1001, 12345, 16384, 123457])
 def test_vcd_dump_equals_per_edge_format(size):
     rng = np.random.default_rng(size)
     for bits in (rng.integers(0, 2, size), np.zeros(size, np.uint8), np.ones(size, np.uint8)):
