@@ -30,11 +30,15 @@ SEARCHES = {f"{cfg.kind.value} n{cfg.n} sf{cfg.sf} target {target}": (cfg, targe
             for cfg in _configs() for target in TARGETS}
 
 
-def record(work: Path) -> dict:
+def searched(searches: dict) -> dict:
     """The repr of each search's every field, by name."""
     return {"searches": {name: {field: repr(v) for field, v in
                                 asdict(required_cutoff(cfg, target)).items()}
-                         for name, (cfg, target) in SEARCHES.items()}}
+                         for name, (cfg, target) in searches.items()}}
+
+
+def record(work: Path) -> dict:
+    return searched(SEARCHES)
 
 
 if __name__ == "__main__":
