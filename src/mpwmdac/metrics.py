@@ -233,8 +233,8 @@ class _Spectra(_HarmonicRoute):
 
     Adds the fill order to the route.  Each code evaluated keeps its 2**n
     DFT bins, up to _CACHE_TERMS bins in all; a code past the cap is
-    transformed again at each use.  Each ripple is kept by (f_c, code) for
-    the whole search, so no code is filtered twice at one cutoff, across
+    transformed again at each use.  Each ripple is kept by code, then f_c,
+    for the whole search, so no code is filtered twice at one cutoff, across
     retunes too, and `checks` counts the ripples asked for.  Code D's bits
     are the first D slots of the fill order, which are the comparator's,
     and the route is the one `steady_ripple` runs, so each ripple equals it
@@ -245,7 +245,7 @@ class _Spectra(_HarmonicRoute):
         super().__init__(cfg)
         self.order = _fill_order(cfg)
         self.bins: dict[int, np.ndarray] = {}
-        self.ripples: dict[tuple[float, int], float] = {}
+        self.ripples: dict[int, dict[float, float]] = {}
         self.checks = 0
 
     def _period_of(self, code: int) -> np.ndarray:
@@ -266,10 +266,53 @@ class _Spectra(_HarmonicRoute):
     def ripple(self, code: int) -> float:
         """`steady_ripple` of duty code `code` at the tuned cutoff."""
         self.checks += 1
-        key = self.f_c, code
-        if key not in self.ripples:
-            self.ripples[key] = _ripple_lsb(self._period_of(code), self.cfg)
-        return self.ripples[key]
+        kept = self.ripples.setdefault(code, {})
+        if self.f_c not in kept:
+            kept[self.f_c] = _ripple_lsb(self._period_of(code), self.cfg)
+        return kept[self.f_c]
+
+    def settled(self, code: int, f_c: float, target: float) -> bool | None:
+        """Whether the ripple of `code` at `f_c` is within `target`, read from a kept
+        ripple of it past the target at or below f_c, or within it at or above f_c;
+        None where no kept ripple settles it.  This holds where the code's ripple
+        does not decrease between f_c and the kept cutoff that settles it."""
+        kept = self.ripples.get(code, {})
+        if any(f <= f_c and r > target for f, r in kept.items()):
+            return False
+        if any(f >= f_c and r <= target for f, r in kept.items()):
+            return True
+        return None
+
+    def probe(self, code: int, target: float) -> None:
+        """Filter `code` at a few more cutoffs, so that kept ripples of it within and
+        past `target` lie within a factor 1 + _REL_TOL / 2 of each other.
+
+        Each probe is a secant step on log ripple against log f_c between the
+        kept cutoffs a, within the target, and b, past it, that lie nearest to
+        each other, held to [a w, b / w], w = 1 + _REL_TOL / 2.  So each probe
+        moves an end by at least w, and a probe next to an end lands across the
+        crossing.  Probing stops when that range holds no cutoff strictly
+        between a and b, that is when b <= a w, and wherever the kept ripples
+        give no such pair or no secant.
+        """
+        kept = self.ripples.setdefault(code, {})
+        width = 1 + _REL_TOL / 2
+        while True:
+            ins = [f for f, r in kept.items() if r <= target]
+            outs = [f for f, r in kept.items() if r > target]
+            if not ins or not outs:
+                return
+            a, b = max(ins), min(outs)
+            ra, rb = kept[a], kept[b]
+            rise = math.log(rb / ra) if ra > 0 else 0.0
+            if rise <= 0:
+                return
+            x = a * (b / a) ** (math.log(target / ra) / rise)
+            f_c = min(max(x, a * width), b / width)
+            if not a < f_c < b:
+                return
+            self.tune(FilterModel(f_c))
+            self.ripple(code)
 
 
 def _worst_ripple(spectra: _Spectra) -> tuple[float, int]:
@@ -341,10 +384,12 @@ class CutoffResult:
     sweeps counts the full sweeps over every duty code: at the guess, at
     each confirmation and at the reported cutoff.  ripple_checks counts the
     harmonic-route ripples the search asked for: the watched code's at each
-    step of each run of the bisection and the screen re-checks, whether the
-    ripple was filtered then or kept from earlier.  The re-check count
-    depends on the screen a sweep runs (`_worst_ripple`), exact edge
-    phasors or running sums; the other fields do not.
+    halving or doubling step and each probe, at each bisection step that no
+    kept ripple settles, and the screen re-checks, whether the ripple was
+    filtered then or kept from earlier.  A step settled from kept ripples
+    asks for none.  The re-check count depends on the screen a sweep runs
+    (`_worst_ripple`), exact edge phasors or running sums; the other fields
+    do not.
     """
 
     f_ct: float
@@ -363,21 +408,31 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
     geometrically down to hi/lo <= 1 + _REL_TOL against the worst steady
     ripple over all duty codes (`worst_steady_ripple`).  One sweep at the
-    guess gives the watched code.  Every other step evaluates the watched
+    guess gives the watched code.  Every other step asks about the watched
     code alone: if it exceeds the target, so does the maximum, and the step
     is out of budget, as is a step at or above an f_c*T whose sweep
-    exceeded it; else the step is held in budget.  One sweep then confirms
-    the largest f_c*T held in budget.  If another code exceeds the target
-    there, it becomes the watched code, and the bracket and bisection run
-    again.  Each harmonic ripple is kept by (f_c, code), so a rerun filters
-    nothing twice.  The reported ripple and code come from a sweep at the
-    final lo.  The result is that of a sweep at every step wherever the
-    worst ripple is non-decreasing in f_c*T, which bisection assumes
-    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
-    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and
-    MPWM sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM),
-    where the ripple exceeds full scale.  For PWM the rule-of-thumb closed
-    form is reported alongside.
+    exceeded it; else the step is held in budget.  Each harmonic ripple is
+    kept by code, then f_c, so a rerun filters nothing twice.  Before each
+    run bisects, a few probes filter the watched code between its kept
+    ripples nearest the target, until one within it and one past it lie
+    within a factor 1 + _REL_TOL / 2 (`_Spectra.probe`).  A step at or below
+    a kept f_c*T where the watched code is within the target is then held
+    in budget, and a step at or above one where it is past the target is
+    out, with no filtering (`_Spectra.settled`); only steps inside the
+    probed bracket are filtered.  This assumes that the watched code's
+    ripple does not decrease between the step and the kept f_c*T, the
+    monotonicity the bisection relies on anyway.  Probes move neither the
+    bracket nor the largest f_c*T held in budget, so the bisection asks the
+    same steps.  One sweep then confirms the largest f_c*T held in budget.
+    If another code exceeds the target there, it becomes the watched code,
+    and the bracket and bisection run again.  The reported ripple and code
+    come from a sweep at the final lo.  The result is that of a sweep at
+    every step wherever the worst ripple is non-decreasing in f_c*T, which
+    bisection assumes anyway.  That holds on [1e-3, SN] for every
+    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
+    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
+    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
+    the rule-of-thumb closed form is reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
@@ -403,15 +458,17 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
 
     def within(f_ct: float) -> bool:
         """Whether f_ct lies below every f_cT swept out of budget and the watched code is
-        within the target there."""
+        within the target there, read from its kept ripples where they settle it."""
         nonlocal top
         if any(f_ct >= f and r > ripple_target for f, (r, _) in swept.items()):
             return False
-        tune(f_ct)
-        if spectra.ripple(watched) > ripple_target:
-            return False
-        top = max(top, f_ct)
-        return True
+        held = spectra.settled(watched, f_ct / period, ripple_target)
+        if held is None:
+            tune(f_ct)
+            held = spectra.ripple(watched) <= ripple_target
+        if held:
+            top = max(top, f_ct)
+        return held
 
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target)
     guess = rule * max(1, cfg.sn)
@@ -432,6 +489,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
             hi *= 2.0
             tested.append(hi)
             hi_within = within(hi)
+        spectra.probe(watched, ripple_target)
         while not hi_within and hi / lo > 1.0 + _REL_TOL:
             mid = np.sqrt(lo * hi)
             if within(mid):

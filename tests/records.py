@@ -11,7 +11,8 @@ change against them.  Rewrite one record from the tree on the path with
     PYTHONPATH=src python tests/<name>_record.py [PATH]
 
 which prints each leaf that moved.  A change that means to move a value
-rewrites its record this way and lists each moved leaf in CHANGES.md.
+rewrites its record this way and lists each moved leaf in CHANGES.md; the
+rewrite prints, per field name, how many leaves moved, rose and fell first.
 """
 
 import json
@@ -51,21 +52,39 @@ def _change(was, now) -> str:
             f"{now if b is not None else json.dumps(now)}{relative}")
 
 
-def _moves(was, now, path: str) -> list[str]:
+def _moved(was, now, path: str) -> list[tuple[str, object, object]]:
     if isinstance(was, dict) and isinstance(now, dict):
-        return [move for key in sorted(was.keys() | now.keys())
-                for move in _moves(was.get(key, _ABSENT), now.get(key, _ABSENT),
+        return [leaf for key in sorted(was.keys() | now.keys())
+                for leaf in _moved(was.get(key, _ABSENT), now.get(key, _ABSENT),
                                    f"{path} / {key}" if path else key)]
-    if was is _ABSENT or now is _ABSENT:
-        return [f"{path}: {'not recorded' if was is _ABSENT else 'not run'}"]
-    return [] if was == now else [f"{path}: {_change(was, now)}"]
+    return [] if was == now else [(path, was, now)]
+
+
+def _moved_leaves(recorded: dict, fresh: dict) -> list[tuple[str, object, object]]:
+    return _moved({**recorded, "stack": None}, {**fresh, "stack": None}, "")
 
 
 def moves(recorded: dict, fresh: dict) -> list[str]:
     """`path: was -> now` for each leaf of the nested dicts that differs, its path
     the keys down to it joined by ` / `; a leaf or case on one side only is
     `not recorded` or `not run`.  The `stack` is not compared."""
-    return _moves({**recorded, "stack": None}, {**fresh, "stack": None}, "")
+    return [f"{path}: {'not recorded' if was is _ABSENT else 'not run'}"
+            if _ABSENT in (was, now) else f"{path}: {_change(was, now)}"
+            for path, was, now in _moved_leaves(recorded, fresh)]
+
+
+def by_field(recorded: dict, fresh: dict) -> list[str]:
+    """`field: m moved, r rose, f fell` for each last key of a moved leaf's path,
+    sorted; a leaf rose or fell when both sides are numbers."""
+    counts: dict[str, list[int]] = {}
+    for path, was, now in _moved_leaves(recorded, fresh):
+        a, b = (None, None) if _ABSENT in (was, now) else (_number(was), _number(now))
+        count = counts.setdefault(path.rsplit(" / ", 1)[-1], [0, 0, 0])
+        count[0] += 1
+        if a is not None and b is not None:
+            count[1] += b > a
+            count[2] += b < a
+    return [f"{field}: {m} moved, {r} rose, {f} fell" for field, (m, r, f) in sorted(counts.items())]
 
 
 def rewrite(module) -> None:
@@ -75,6 +94,7 @@ def rewrite(module) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         now = fresh(module, Path(tmp))
     if path.exists():
-        print("\n".join(moves(json.loads(path.read_text()), now)) or "nothing moved")
+        was = json.loads(path.read_text())
+        print("\n".join(by_field(was, now) + moves(was, now)) or "nothing moved")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")

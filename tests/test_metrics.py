@@ -1,6 +1,7 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
 import inspect
+import math
 import re
 from dataclasses import astuple
 
@@ -288,7 +289,7 @@ def test_required_cutoff_equals_per_duty_search(n):
             # the watched code settles at least one step without a sweep, and
             # each sweep re-checks at least one code
             assert 1 <= res.sweeps < steps
-            assert res.ripple_checks >= steps - 1 + res.sweeps
+            assert res.sweeps <= res.ripple_checks
 
 
 @pytest.mark.parametrize("cfg", [
@@ -441,6 +442,47 @@ def test_ripple_checks_count_the_ripples_asked_for_one_a_step(cfg, monkeypatch):
         for steps in runs:  # one watched code, asked for once at each step
             assert all(len(codes) <= 1 for codes in steps), target
             assert len({code for codes in steps for code in codes}) <= 1, target
+
+
+@pytest.mark.parametrize("cfg", [
+    ModulatorConfig.pwm(8),
+    ModulatorConfig.mpwm(8, 3),
+    ModulatorConfig.pcm(7),
+], ids=["pwm", "mpwm_sf3", "pcm_n7"])
+def test_the_bisection_filters_only_inside_the_probed_bracket(cfg, monkeypatch):
+    ripple, probe, worst_ripple = _Spectra.ripple, _Spectra.probe, metrics._worst_ripple
+    asked = []  # outside the sweeps: (f_c, whether it was kept, the probed bracket or None)
+    bracket, sweeping = [None], [False]
+
+    def asking(spectra, code):
+        if not sweeping[0]:
+            asked.append((spectra.f_c, spectra.f_c in spectra.ripples.get(code, {}), bracket[0]))
+        return ripple(spectra, code)
+
+    def probed(spectra, code, target):
+        probe(spectra, code, target)
+        kept = spectra.ripples[code]
+        bracket[0] = (max((f for f, r in kept.items() if r <= target), default=0.0),
+                      min((f for f, r in kept.items() if r > target), default=math.inf))
+
+    def swept(spectra):  # a sweep ends the run of the bisection before it
+        sweeping[0], bracket[0] = True, None
+        result = worst_ripple(spectra)
+        sweeping[0] = False
+        return result
+
+    monkeypatch.setattr(_Spectra, "ripple", asking)
+    monkeypatch.setattr(_Spectra, "probe", probed)
+    monkeypatch.setattr(metrics, "_worst_ripple", swept)
+    for target in (0.25, 0.5, 1.0):
+        asked.clear()
+        res = required_cutoff(cfg, target)
+        assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
+            _reference_cutoff(cfg, target)[:4]), target
+        # no step asks again for a ripple the search holds, and after the probes
+        # only a step strictly inside the probed bracket is filtered
+        assert not any(kept for _, kept, _ in asked), target
+        assert all(b[0] < f_c < b[1] for f_c, _, b in asked if b), target
 
 
 def test_worst_steady_ripple_rejects_fons():

@@ -320,13 +320,21 @@ def vcd_reference(bits) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _same_dump(got: str, want: str) -> None:
+    """Assert got == want by the index of the first differing line and the line counts,
+    with the two lines on failure: pytest's diff of two 100k-row dumps ran for minutes."""
+    got, want = got.split("\n"), want.split("\n")  # equal lists only for equal strings
+    wrong = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert (wrong, len(got)) == (None, len(want)), wrong is not None and (got[wrong], want[wrong])
+
+
 # each digit width's first and last row, and last blocks that stop mid-decade
 @pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10001,
                                   12345, 16384, 99999, 100000, 100001, 123457])
 def test_csv_dump_equals_per_row_format(size):
     rng = np.random.default_rng(size)
     bits = rng.integers(0, 2, size)
-    assert trace_to_csv(bits) == csv_reference(bits)
+    _same_dump(trace_to_csv(bits), csv_reference(bits))
     wide = rng.integers(0, 256, size).astype(np.uint8)
     if np.any(wide > 1):
         with pytest.raises(ParameterError, match="bits must be 0 or 1"):
@@ -337,9 +345,7 @@ def test_csv_dump_equals_per_row_format(size):
 @given(st.integers(0, 1 << 17), st.integers(0, 2**32 - 1))
 def test_csv_dump_of_any_length_equals_per_row_format(size, seed):
     bits = np.random.default_rng(seed).integers(0, 2, size)
-    got, want = trace_to_csv(bits).splitlines(), csv_reference(bits).splitlines()
-    wrong = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
-    assert (wrong, len(got)) == (None, len(want))  # the first wrong line, if any
+    _same_dump(trace_to_csv(bits), csv_reference(bits))
 
 
 # every change of digit width in the edge times 10 * i, and in the closing time
@@ -347,7 +353,7 @@ def test_csv_dump_of_any_length_equals_per_row_format(size, seed):
 def test_vcd_dump_equals_per_edge_format(size):
     rng = np.random.default_rng(size)
     for bits in (rng.integers(0, 2, size), np.zeros(size, np.uint8), np.ones(size, np.uint8)):
-        assert trace_to_vcd(bits) == vcd_reference(bits)
+        _same_dump(trace_to_vcd(bits), vcd_reference(bits))
 
 
 def test_dumps_take_bool_bits():

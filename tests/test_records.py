@@ -35,6 +35,24 @@ def test_moves_names_each_moved_missing_and_extra_leaf_by_path():
     ]
 
 
+def test_by_field_counts_the_moved_risen_and_fallen_leaves_of_each_field():
+    recorded = {"stack": {}, "searches": {
+        "a": {"checks": "9", "f_ct": "0.5", "sweeps": 2},
+        "b": {"checks": "7", "f_ct": "0.5", "sweeps": 2},
+        "c": {"checks": "4", "duty": "None"}}}
+    fresh = {"stack": {}, "searches": {
+        "a": {"checks": "np.float64(8)", "f_ct": "0.5", "sweeps": 3},
+        "b": {"checks": "6", "f_ct": "0.5", "sweeps": 2},
+        "c": {"checks": "4", "duty": "7"}, "d": {"checks": "1"}}}
+    assert records.by_field(recorded, fresh) == [
+        "checks: 2 moved, 0 rose, 2 fell",
+        "d: 1 moved, 0 rose, 0 fell",  # a case on one side only
+        "duty: 1 moved, 0 rose, 0 fell",  # not a number on one side
+        "sweeps: 1 moved, 1 rose, 0 fell",
+    ]
+    assert records.by_field(recorded, recorded) == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_a_leaf_changed_in_a_committed_record_is_named(name):
     recorded = json.loads(importlib.import_module(name).RECORD.read_text())
