@@ -10,9 +10,9 @@ change against them.  Rewrite one record from the tree on the path with
 
     PYTHONPATH=src python tests/<name>_record.py [PATH]
 
-which prints each leaf that moved.  A change that means to move a value
-rewrites its record this way and lists each moved leaf in CHANGES.md; the
-rewrite prints, per field name, how many leaves moved, rose and fell first.
+which prints, per field name, how many leaves moved, rose and fell, then
+each leaf that moved.  A change that means to move a value rewrites its
+record this way and lists each moved leaf in CHANGES.md.
 """
 
 import json
@@ -78,7 +78,7 @@ def by_field(recorded: dict, fresh: dict) -> list[str]:
     sorted; a leaf rose or fell when both sides are numbers."""
     counts: dict[str, list[int]] = {}
     for path, was, now in _moved_leaves(recorded, fresh):
-        a, b = (None, None) if _ABSENT in (was, now) else (_number(was), _number(now))
+        a, b = _number(was), _number(now)  # None for _ABSENT too
         count = counts.setdefault(path.rsplit(" / ", 1)[-1], [0, 0, 0])
         count[0] += 1
         if a is not None and b is not None:
