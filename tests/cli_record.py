@@ -3,12 +3,15 @@
 `ARGVS` names one small argv per output rule of each command.  `record`
 runs each one in-process into a fresh directory and keeps its exit code,
 its stdout with that directory written as `<out>`, its stderr, and each
-file's name, size and sha256.
+file's name, size and sha256.  A stdout that is one strict-JSON line, which
+prints back to the same bytes, is kept as its fields, so the record's differ
+names each field that moves.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -56,6 +59,16 @@ ARGVS = {
 }
 
 
+def _fields(text: str):
+    """The value of `text` when it is one line of sorted strict JSON that prints back
+    to `text` byte for byte, else `text` itself."""
+    try:
+        value = json.loads(text)
+        return value if json.dumps(value, sort_keys=True, allow_nan=False) + "\n" == text else text
+    except ValueError:
+        return text
+
+
 def run(argv: list[str], out: Path) -> dict:
     """One argv's exit code, stdout, stderr and files, run with `--out out`."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -64,7 +77,7 @@ def run(argv: list[str], out: Path) -> dict:
     files = sorted(out.iterdir()) if out.exists() else []
     return {
         "exit": code,
-        "stdout": stdout.getvalue().replace(str(out), "<out>"),
+        "stdout": _fields(stdout.getvalue().replace(str(out), "<out>")),
         "stderr": stderr.getvalue(),
         "files": {p.name: {"size": p.stat().st_size,
                            "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
