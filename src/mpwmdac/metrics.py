@@ -381,9 +381,9 @@ def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, i
 class CutoffResult:
     """Outcome of the required-cutoff search.
 
-    sweeps counts the full sweeps over every duty code: at the guess, at
-    each confirmation and at the reported cutoff.  ripple_checks counts the
-    harmonic-route ripples the search asked for: the watched code's at each
+    sweeps counts the full sweeps over every duty code: at each confirmation
+    and at the reported cutoff.  ripple_checks counts the harmonic-route
+    ripples the search asked for: the watched code's at the guess, at each
     halving or doubling step and each probe, at each bisection step that no
     kept ripple settles, and the screen re-checks, whether the ripple was
     filtered then or kept from earlier.  A step settled from kept ripples
@@ -407,39 +407,38 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
 
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
     geometrically down to hi/lo <= 1 + _REL_TOL against the worst steady
-    ripple over all duty codes (`worst_steady_ripple`).  One sweep at the
-    guess gives the watched code.  Every other step asks about the watched
-    code alone: if it exceeds the target, so does the maximum, and the step
-    is out of budget, as is a step at or above an f_c*T whose sweep
-    exceeded it; else the step is held in budget.  Each harmonic ripple is
-    kept by code, then f_c, so a rerun filters nothing twice.  Before each
-    run bisects, a few probes filter the watched code between its kept
-    ripples nearest the target, until one within it and one past it lie
-    within a factor 1 + _REL_TOL / 2 (`_Spectra.probe`).  A step at or below
-    a kept f_c*T where the watched code is within the target is then held
-    in budget, and a step at or above one where it is past the target is
-    out, with no filtering (`_Spectra.settled`); only steps inside the
-    probed bracket are filtered.  This assumes that the watched code's
-    ripple does not decrease between the step and the kept f_c*T, the
-    monotonicity the bisection relies on anyway.  Probes move neither the
-    bracket nor the largest f_c*T held in budget, so the bisection asks the
-    same steps.  One sweep then confirms the largest f_c*T held in budget.
-    If another code exceeds the target there, it becomes the watched code,
-    and the bracket and bisection run again.  The reported ripple and code
-    come from a sweep at the final lo.  The result is that of a sweep at
-    every step wherever the worst ripple is non-decreasing in f_c*T, which
-    bisection assumes anyway.  That holds on [1e-3, SN] for every
-    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
-    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
-    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
-    the rule-of-thumb closed form is reported alongside.
+    ripple over all duty codes (`worst_steady_ripple`).  Every step, the
+    guess included, asks about one watched code alone, code 2**(n-1) + 1 at
+    first: if it exceeds the target, so does the maximum, and the step is
+    out of budget, as is a step at or above an f_c*T whose sweep exceeded
+    it; else the step is held in budget.  Each harmonic ripple is kept by
+    code, then f_c, so a rerun filters nothing twice.  Before each run
+    bisects, a few probes filter the watched code between its kept ripples
+    nearest the target, until one within it and one past it lie within a
+    factor 1 + _REL_TOL / 2 (`_Spectra.probe`).  A step at or below a kept
+    f_c*T where the watched code is within the target is then held in
+    budget, and a step at or above one where it is past the target is out,
+    with no filtering (`_Spectra.settled`); only steps inside the probed
+    bracket are filtered.  This assumes that the watched code's ripple does
+    not decrease between the step and the kept f_c*T, the monotonicity the
+    bisection relies on anyway.  Probes move neither the bracket nor the
+    largest f_c*T held in budget, so the bisection asks the same steps.  One
+    sweep then confirms the largest f_c*T held in budget.  If another code
+    exceeds the target there, it becomes the watched code, and the bracket
+    and bisection run again.  The reported ripple and code come from a sweep
+    at the final lo.  The result is that of a sweep at every step wherever
+    the worst ripple is non-decreasing in f_c*T, which bisection assumes
+    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
+    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM
+    sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM), where
+    the ripple exceeds full scale.  For PWM the rule-of-thumb closed form is
+    reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
     period = cfg.period
     spectra = _Spectra(cfg)
     swept: dict[float, tuple[float, int]] = {}  # (worst ripple, its code) by f_cT
-    top = 0.0  # the largest f_cT held in budget in this run of the bisection
 
     def tune(f_ct: float) -> None:
         try:
@@ -473,12 +472,12 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target)
     guess = rule * max(1, cfg.sn)
     _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
-    watched = sweep(guess)[1]  # the code that decides a step
+    # one slot past 2**(n-1), whose equal MPWM pulses pass the guess where the worst code fails
+    watched = (1 << (cfg.n - 1)) + 1  # decides each step until a sweep names another
     while True:
         lo = hi = guess
-        tested = [lo]
-        lo_within = hi_within = swept[guess][0] <= ripple_target
-        top = guess if lo_within else 0.0
+        tested, top = [lo], 0.0  # top: the largest f_cT held in budget in this run
+        lo_within = hi_within = within(guess)
         while not lo_within and lo / 2.0 >= _F_CT_FLOOR:
             lo /= 2.0
             tested.append(lo)
@@ -496,7 +495,8 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
                 lo = mid
             else:
                 hi = mid
-        over = next((f for f in (top, lo) if sweep(f)[0] > ripple_target), None)
+        confirm = (top,) if hi_within else (top, lo)  # lo is reported only once bracketed
+        over = next((f for f in confirm if sweep(f)[0] > ripple_target), None)
         if over is None:
             break
         watched = swept[over][1]

@@ -383,15 +383,17 @@ def test_required_cutoff_names_each_f_ct_when_it_cannot_bracket_the_target(
     swept = _swept_cutoffs(monkeypatch)
     with pytest.raises(ParameterError, match=re.escape(f"bracket the target; tested f_cT {tested}")):
         required_cutoff(cfg, target)
-    # a step out of budget needs no sweep; the last doubling held in budget is
-    # confirmed by one before the search gives up
+    # no step needs a sweep, the guess included, so a search that misses the
+    # floor sweeps nowhere; the last doubling held in budget is confirmed by
+    # one before the search gives up
     last = [tested[-1]] if tested[-1] > tested[0] else []
-    assert [omega for omega, _ in swept] == [_omega(cfg, f) for f in [tested[0], *last]]
+    assert [omega for omega, _ in swept] == [_omega(cfg, f) for f in last]
 
 
-@pytest.mark.parametrize("cfg", [ModulatorConfig.mpwm(4, 3), ModulatorConfig.mpwm(8, 4)],
-                         ids=["mpwm_n4_sf3", "mpwm_n8_sf4"])
-def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, monkeypatch):
+@pytest.mark.parametrize("cfg, target", [(ModulatorConfig.pcm(7), 0.363),
+                                         (ModulatorConfig.mpwm(8, 4), 0.25)],
+                         ids=["pcm_n7", "mpwm_n8_sf4"])
+def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, target, monkeypatch):
     filtered, period_of = [], _Spectra._period_of
 
     def counted(spectra, code):
@@ -400,9 +402,9 @@ def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, monke
 
     monkeypatch.setattr(_Spectra, "_period_of", counted)
     swept = _swept_cutoffs(monkeypatch)
-    required_cutoff(cfg, 0.585)
+    required_cutoff(cfg, target)
     # a confirming sweep found a code past the target, so the bisection ran again
-    assert any(ripple > 0.585 for _, ripple in swept[1:])
+    assert any(ripple > target for _, ripple in swept)
     assert len(filtered) == len(set(filtered))
 
 
@@ -483,6 +485,50 @@ def test_the_bisection_filters_only_inside_the_probed_bracket(cfg, monkeypatch):
         # only a step strictly inside the probed bracket is filtered
         assert not any(kept for _, kept, _ in asked), target
         assert all(b[0] < f_c < b[1] for f_c, _, b in asked if b), target
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_sweep_confirms_its_runs_top_or_the_reported_cutoff(n, monkeypatch):
+    settled, ripple, worst_ripple = _Spectra.settled, _Spectra.ripple, metrics._worst_ripple
+    runs, pending = [], []  # each run of the bisection: its steps' (f_c, held), its sweeps' f_c
+
+    def settling(spectra, code, f_c, target):
+        held = settled(spectra, code, f_c, target)
+        if not runs or runs[-1][1]:  # a step after a sweep starts the next run
+            runs.append(([], []))
+        if held is None:  # the watched code's ripple, asked for next, decides the step
+            pending.append((f_c, target))
+        else:
+            runs[-1][0].append((f_c, held))
+        return held
+
+    def asking(spectra, code):
+        r = ripple(spectra, code)
+        if pending:
+            f_c, target = pending.pop()
+            runs[-1][0].append((f_c, r <= target))
+        return r
+
+    def sweeping(spectra):
+        runs[-1][1].append(spectra.f_c)
+        return worst_ripple(spectra)
+
+    monkeypatch.setattr(_Spectra, "settled", settling)
+    monkeypatch.setattr(_Spectra, "ripple", asking)
+    monkeypatch.setattr(metrics, "_worst_ripple", sweeping)
+    mpwm = [ModulatorConfig.mpwm(n, sf) for sf in range(n)]
+    for cfg in [ModulatorConfig.pwm(n), *mpwm, ModulatorConfig.pcm(n)]:
+        for target in (0.25, 0.5, 1.0):
+            runs.clear()
+            res = required_cutoff(cfg, target)
+            assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
+                _reference_cutoff(cfg, target)[:4]), (cfg, target)
+            guess = cutoff_rule_of_thumb(n, target) * max(1, cfg.sn) / cfg.period
+            assert res.sweeps == sum(len(sweeps) for _, sweeps in runs), (cfg, target)
+            for steps, sweeps in runs:
+                top = max((f_c for f_c, held in steps if held), default=0.0)
+                assert set(sweeps) <= {top, res.f_c_hz}, (cfg, target)
+                assert guess not in sweeps or guess == top, (cfg, target)
 
 
 def test_worst_steady_ripple_rejects_fons():
