@@ -390,9 +390,10 @@ def test_required_cutoff_names_each_f_ct_when_it_cannot_bracket_the_target(
     assert [omega for omega, _ in swept] == [_omega(cfg, f) for f in last]
 
 
-@pytest.mark.parametrize("cfg, target", [(ModulatorConfig.pcm(7), 0.363),
-                                         (ModulatorConfig.mpwm(8, 4), 0.25)],
-                         ids=["pcm_n7", "mpwm_n8_sf4"])
+@pytest.mark.parametrize("cfg, target", [(ModulatorConfig.mpwm(4, 3), 1.0),
+                                         (ModulatorConfig.mpwm(8, 4), 0.25),
+                                         (ModulatorConfig.pcm(7), 0.363)],
+                         ids=["mpwm_n4_sf3", "mpwm_n8_sf4", "pcm_n7"])
 def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, target, monkeypatch):
     filtered, period_of = [], _Spectra._period_of
 
