@@ -440,9 +440,7 @@ class _HarmonicRoute:
     def period(self, bins: np.ndarray) -> np.ndarray:
         """Filtered steady-state period of the pattern with DFT bins `bins`."""
         grid = _SAMPLES_PER_SLOT * self.cfg.steps
-        spec = np.zeros(grid // 2 + 1, dtype=complex)
-        spec[: self.towers.size] = bins[self.towers] * self.envelope * self.h * grid
-        return np.fft.irfft(spec, n=grid)
+        return np.fft.irfft(bins[self.towers] * self.envelope * self.h * grid, n=grid)
 
 
 @functools.lru_cache(maxsize=1)

@@ -235,10 +235,11 @@ class _Spectra(_HarmonicRoute):
     DFT bins, up to _CACHE_TERMS bins in all; a code past the cap is
     transformed again at each use.  Each ripple is kept by code, then f_c,
     for the whole search, so no code is filtered twice at one cutoff, across
-    retunes too, and `checks` counts the ripples asked for.  Code D's bits
-    are the first D slots of the fill order, which are the comparator's,
-    and the route is the one `steady_ripple` runs, so each ripple equals it
-    bit for bit.
+    retunes too, and `checks` counts the ripples asked for; a code's kept
+    ripples bracket where it crosses a target (`bracket`).  Code D's bits
+    are the first D slots of the fill order, which are the comparator's, and
+    the route is the one `steady_ripple` runs, so each ripple equals it bit
+    for bit.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
@@ -259,10 +260,6 @@ class _Spectra(_HarmonicRoute):
                 self.bins[code] = bins
         return self.period(bins)
 
-    def unit_response(self) -> np.ndarray:
-        """Filtered period of slot 0 alone: code 1, since C_R[0] = 0."""
-        return self._period_of(1)
-
     def ripple(self, code: int) -> float:
         """`steady_ripple` of duty code `code` at the tuned cutoff."""
         self.checks += 1
@@ -271,39 +268,38 @@ class _Spectra(_HarmonicRoute):
             kept[self.f_c] = _ripple_lsb(self._period_of(code), self.cfg)
         return kept[self.f_c]
 
-    def settled(self, code: int, f_c: float, target: float) -> bool | None:
-        """Whether the ripple of `code` at `f_c` is within `target`, read from a kept
-        ripple of it past the target at or below f_c, or within it at or above f_c;
-        None where no kept ripple settles it.  This holds where the code's ripple
-        does not decrease between f_c and the kept cutoff that settles it."""
+    def bracket(self, code: int, target: float) -> tuple[float, float]:
+        """(a, b): the largest kept f_c where `code` is within `target`, 0 if none,
+        and the smallest kept f_c where it is past it, inf if none."""
         kept = self.ripples.get(code, {})
-        if any(f <= f_c and r > target for f, r in kept.items()):
-            return False
-        if any(f >= f_c and r <= target for f, r in kept.items()):
-            return True
-        return None
+        return (max((f for f, r in kept.items() if r <= target), default=0.0),
+                min((f for f, r in kept.items() if r > target), default=math.inf))
+
+    def settled(self, code: int, f_c: float, target: float) -> bool | None:
+        """Whether `code` is within `target` at `f_c`, from its `bracket` (a, b): not
+        at or above b, else so at or below a, None strictly between.  This holds
+        where its ripple does not decrease between f_c and the kept cutoff."""
+        a, b = self.bracket(code, target)
+        return None if a < f_c < b else f_c < b
 
     def probe(self, code: int, target: float) -> None:
         """Filter `code` at a few more cutoffs, so that kept ripples of it within and
         past `target` lie within a factor 1 + _REL_TOL / 2 of each other.
 
         Each probe is a secant step on log ripple against log f_c between the
-        kept cutoffs a, within the target, and b, past it, that lie nearest to
-        each other, held to [a w, b / w], w = 1 + _REL_TOL / 2.  So each probe
-        moves an end by at least w, and a probe next to an end lands across the
-        crossing.  Probing stops when that range holds no cutoff strictly
-        between a and b, that is when b <= a w, and wherever the kept ripples
-        give no such pair or no secant.
+        ends a, within the target, and b, past it, of the code's `bracket`, held
+        to [a w, b / w], w = 1 + _REL_TOL / 2.  So each probe moves an end by at
+        least w, and a probe next to an end lands across the crossing.  Probing
+        stops when that range holds no cutoff strictly between a and b, that is
+        when b <= a w, and wherever the bracket has an open end or gives no
+        secant.
         """
-        kept = self.ripples.setdefault(code, {})
         width = 1 + _REL_TOL / 2
         while True:
-            ins = [f for f, r in kept.items() if r <= target]
-            outs = [f for f, r in kept.items() if r > target]
-            if not ins or not outs:
+            a, b = self.bracket(code, target)
+            if not 0 < a < b < math.inf:
                 return
-            a, b = max(ins), min(outs)
-            ra, rb = kept[a], kept[b]
+            ra, rb = self.ripples[code][a], self.ripples[code][b]
             rise = math.log(rb / ra) if ra > 0 else 0.0
             if rise <= 0:
                 return
@@ -350,7 +346,7 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int]:
         ripples, beta = _exact_ripples(cfg, spectra.omega)
         width = 2 * spectra.gap(2 * cfg.sn, beta)
     else:
-        unit = spectra.unit_response()
+        unit = spectra._period_of(1)  # slot 0 alone: code 1, since C_R[0] = 0
         samples, c = unit[::_SAMPLES_PER_SLOT], _interpolation_bound(unit)
         if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
             samples, c = unit, 0.0
@@ -384,12 +380,12 @@ class CutoffResult:
     sweeps counts the full sweeps over every duty code: at each confirmation
     and at the reported cutoff.  ripple_checks counts the harmonic-route
     ripples the search asked for: the watched code's at the guess, at each
-    halving or doubling step and each probe, at each bisection step that no
-    kept ripple settles, and the screen re-checks, whether the ripple was
-    filtered then or kept from earlier.  A step settled from kept ripples
-    asks for none.  The re-check count depends on the screen a sweep runs
-    (`_worst_ripple`), exact edge phasors or running sums; the other fields
-    do not.
+    halving or doubling step and each probe, at each bisection step that its
+    kept ripples do not settle, and the screen re-checks, whether the ripple
+    was filtered then or kept from earlier.  A step settled from the watched
+    code's kept ripples (`_Spectra.settled`) asks for none.  The re-check
+    count depends on the screen a sweep runs (`_worst_ripple`), exact edge
+    phasors or running sums; the other fields do not.
     """
 
     f_ct: float
@@ -410,29 +406,29 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     ripple over all duty codes (`worst_steady_ripple`).  Every step, the
     guess included, asks about one watched code alone, code 2**(n-1) + 1 at
     first: if it exceeds the target, so does the maximum, and the step is
-    out of budget, as is a step at or above an f_c*T whose sweep exceeded
-    it; else the step is held in budget.  Each harmonic ripple is kept by
-    code, then f_c, so a rerun filters nothing twice.  Before each run
-    bisects, a few probes filter the watched code between its kept ripples
-    nearest the target, until one within it and one past it lie within a
-    factor 1 + _REL_TOL / 2 (`_Spectra.probe`).  A step at or below a kept
-    f_c*T where the watched code is within the target is then held in
-    budget, and a step at or above one where it is past the target is out,
-    with no filtering (`_Spectra.settled`); only steps inside the probed
-    bracket are filtered.  This assumes that the watched code's ripple does
-    not decrease between the step and the kept f_c*T, the monotonicity the
-    bisection relies on anyway.  Probes move neither the bracket nor the
-    largest f_c*T held in budget, so the bisection asks the same steps.  One
-    sweep then confirms the largest f_c*T held in budget.  If another code
-    exceeds the target there, it becomes the watched code, and the bracket
-    and bisection run again.  The reported ripple and code come from a sweep
-    at the final lo.  The result is that of a sweep at every step wherever
-    the worst ripple is non-decreasing in f_c*T, which bisection assumes
-    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
-    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM
-    sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM), where
-    the ripple exceeds full scale.  For PWM the rule-of-thumb closed form is
-    reported alongside.
+    out of budget; else it is held in budget.  Each harmonic ripple is kept
+    by code, then f_c, so a rerun filters nothing twice.  Before each run
+    bisects, a few probes filter the watched code until its kept ripples
+    within and past the target lie within a factor 1 + _REL_TOL / 2
+    (`_Spectra.probe`).  Its kept ripples then decide each step with no
+    filtering, held in budget at or below the largest kept f_c*T where it is
+    within the target and out at or above the smallest where it is past it
+    (`_Spectra.settled`); only steps strictly between are filtered.  This
+    assumes that the watched code's ripple does not decrease between the
+    step and the kept f_c*T, the monotonicity the bisection relies on
+    anyway.  Probes move neither lo, hi nor the largest f_c*T held in
+    budget, so the bisection asks the same steps.  One sweep then confirms
+    the largest f_c*T held in budget.  If another code exceeds the target
+    there, it becomes the watched code, its ripple past the target there
+    kept, so no later step at or above that f_c*T is held in budget, and the
+    bracketing and bisection run again.  The reported ripple and code come
+    from a sweep at the final lo.  The result is that of a sweep at every
+    step wherever the worst ripple is non-decreasing in f_c*T, which
+    bisection assumes anyway.  That holds on [1e-3, SN] for every
+    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
+    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
+    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
+    the rule-of-thumb closed form is reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
@@ -456,11 +452,9 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         return swept[f_ct]
 
     def within(f_ct: float) -> bool:
-        """Whether f_ct lies below every f_cT swept out of budget and the watched code is
-        within the target there, read from its kept ripples where they settle it."""
+        """Whether the watched code is within the target at f_ct, read from its kept
+        ripples where they settle it."""
         nonlocal top
-        if any(f_ct >= f and r > ripple_target for f, (r, _) in swept.items()):
-            return False
         held = spectra.settled(watched, f_ct / period, ripple_target)
         if held is None:
             tune(f_ct)

@@ -52,7 +52,7 @@ def _unit_response(cfg, fm):
     """Filtered period of slot 0 alone, on the route's grid."""
     spectra = _Spectra(cfg)
     spectra.tune(fm)
-    return spectra.unit_response()
+    return spectra._period_of(1)  # code 1, since C_R[0] = 0
 
 
 def _summed_ripples(cfg, fm):
@@ -322,7 +322,7 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
         for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
             fm = FilterModel(f_ct / cfg.period)
             spectra.tune(fm)
-            unit = spectra.unit_response()  # code 1, since C_R[0] = 0
+            unit = spectra._period_of(1)  # code 1, since C_R[0] = 0
             assert float(unit.max() - unit.min()) * cfg.steps == steady_ripple(cfg, 1, fm)
             for d in range(cfg.steps):
                 want = steady_ripple(cfg, d, fm)
@@ -402,10 +402,25 @@ def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, targe
         return period_of(spectra, code)
 
     monkeypatch.setattr(_Spectra, "_period_of", counted)
-    swept = _swept_cutoffs(monkeypatch)
+    failed, worst_ripple = [], metrics._worst_ripple
+
+    def sweeping(spectra):
+        # a sweep past the target keeps its worst code's ripple there, so that
+        # code's kept ripples refuse every step at or above this cutoff
+        ripple, code = worst_ripple(spectra)
+        if ripple > target:
+            f_c = spectra.f_c
+            failed.append(f_c)
+            assert spectra.ripples[code][f_c] > target
+            above = [f for f in spectra.ripples[code] if f >= f_c]
+            for f in [*above, *(f_c * np.geomspace(1, 16 * cfg.sn, 9)).tolist()]:
+                assert spectra.settled(code, f, target) is False, (code, f_c, f)
+        return ripple, code
+
+    monkeypatch.setattr(metrics, "_worst_ripple", sweeping)
     required_cutoff(cfg, target)
     # a confirming sweep found a code past the target, so the bisection ran again
-    assert any(ripple > target for _, ripple in swept)
+    assert failed
     assert len(filtered) == len(set(filtered))
 
 
