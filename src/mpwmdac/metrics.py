@@ -404,29 +404,29 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     Brackets the rule-of-thumb guess by halving or doubling, then bisects
     geometrically down to hi/lo <= 1 + _REL_TOL against the worst steady
     ripple over all duty codes (`worst_steady_ripple`).  Every step, the
-    guess included, asks about one watched code alone, code 2**(n-1) + 1 at
-    first: if it exceeds the target, so does the maximum, and the step is
-    out of budget; else it is held in budget.  Each harmonic ripple is kept
-    by code, then f_c, so a rerun filters nothing twice.  Before each run
-    bisects, a few probes filter the watched code until its kept ripples
-    within and past the target lie within a factor 1 + _REL_TOL / 2
-    (`_Spectra.probe`).  Its kept ripples then decide each step with no
-    filtering, held in budget at or below the largest kept f_c*T where it is
-    within the target and out at or above the smallest where it is past it
-    (`_Spectra.settled`); only steps strictly between are filtered.  This
-    assumes that the watched code's ripple does not decrease between the
-    step and the kept f_c*T, the monotonicity the bisection relies on
-    anyway.  Probes move neither lo, hi nor the largest f_c*T held in
-    budget, so the bisection asks the same steps.  One sweep then confirms
-    the largest f_c*T held in budget.  If another code exceeds the target
-    there, it becomes the watched code, its ripple past the target there
-    kept, so no later step at or above that f_c*T is held in budget, and the
-    bracketing and bisection run again.  The reported ripple and code come
-    from a sweep at the final lo.  The result is that of a sweep at every
-    step wherever the worst ripple is non-decreasing in f_c*T, which
-    bisection assumes anyway.  That holds on [1e-3, SN] for every
-    PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM at
-    n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
+    guess included, asks about one watched code alone, code 2**(n-1) at
+    first, one past it where sf > 0: if it exceeds the target, so does the
+    maximum, and the step is out of budget; else it is held in budget.  Each
+    harmonic ripple is kept by code, then f_c, so a rerun filters nothing
+    twice.  Before each run bisects, a few probes filter the watched code
+    until its kept ripples within and past the target lie within a factor
+    1 + _REL_TOL / 2 (`_Spectra.probe`).  Its kept ripples then decide each
+    step with no filtering, held in budget at or below the largest kept
+    f_c*T where it is within the target and out at or above the smallest
+    where it is past it (`_Spectra.settled`); only steps strictly between
+    are filtered.  This assumes that the watched code's ripple does not
+    decrease between the step and the kept f_c*T, the monotonicity the
+    bisection relies on anyway.  Probes move neither lo, hi nor the largest
+    f_c*T held in budget, so the bisection asks the same steps.  One sweep
+    then confirms the largest f_c*T held in budget.  If another code exceeds
+    the target there, it becomes the watched code, its ripple past the
+    target there kept, so no later step at or above that f_c*T is held in
+    budget, and the bracketing and bisection run again.  The reported ripple
+    and code come from a sweep at the final lo.  The result is that of a
+    sweep at every step wherever the worst ripple is non-decreasing in
+    f_c*T, which bisection assumes anyway.  That holds on [1e-3, SN] for
+    every PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM
+    at n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
     lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
     the rule-of-thumb closed form is reported alongside.
     """
@@ -466,8 +466,8 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target)
     guess = rule * max(1, cfg.sn)
     _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
-    # one slot past 2**(n-1), whose equal MPWM pulses pass the guess where the worst code fails
-    watched = (1 << (cfg.n - 1)) + 1  # decides each step until a sweep names another
+    # 2**(n-1) is the worst code where sf = 0; where sf > 0 its pulses are equal and pass, so +1
+    watched = (1 << (cfg.n - 1)) + (cfg.sf > 0)  # decides each step until a sweep names another
     while True:
         lo = hi = guess
         tested, top = [lo], 0.0  # top: the largest f_cT held in budget in this run

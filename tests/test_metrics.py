@@ -547,6 +547,19 @@ def test_every_sweep_confirms_its_runs_top_or_the_reported_cutoff(n, monkeypatch
                 assert guess not in sweeps or guess == top, (cfg, target)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_pwm_shaped_search_sweeps_once(n):
+    # where sf = 0 the start code 2**(n-1) is the worst code, so the sweep that
+    # confirms the bisection never names another and the bisection runs once
+    for cfg in (ModulatorConfig.pwm(n), ModulatorConfig.mpwm(n, 0)):
+        for target in np.linspace(0.25, 1.0, 8).tolist():
+            res = required_cutoff(cfg, target)
+            assert res.sweeps == 1, (cfg, target)
+            if n <= 8:
+                assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
+                    _reference_cutoff(cfg, target)[:4]), (cfg, target)
+
+
 def test_worst_steady_ripple_rejects_fons():
     with pytest.raises(ParameterError, match="pwm/pcm/mpwm"):
         worst_steady_ripple(ModulatorConfig.fons(6), FilterModel(1e5))
