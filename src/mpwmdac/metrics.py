@@ -126,7 +126,6 @@ _REL_TOL = 5e-3  # the cutoff bisection stops at hi / lo <= 1 + _REL_TOL
 _F_CT_FLOOR = 1e-6  # the cutoff bracket tests no f_cT below this
 _SCREEN_REL = 0.01  # one sample per slot when the bound is at most this share of code 1's ripple
 _BLOCK_CELLS = 1 << 16  # running sums held at once by a ripple sweep
-_CACHE_TERMS = 1 << 22  # DFT bins a cutoff search keeps: 64 MiB of complex terms
 # A ripple sweep screens by exact edge phasors when sf <= min(_EXACT_MAX_SF, n - 3)
 # (`_exact_screen`), else by running sums.  Measured on whole required_cutoff
 # searches (one BLAS thread, median of 6-14 interleaved runs at targets 0.3 and
@@ -231,34 +230,29 @@ def _interpolation_bound(unit: np.ndarray) -> float:
 class _Spectra(_HarmonicRoute):
     """The harmonic ripple route of one config, kept for one cutoff search.
 
-    Adds the fill order to the route.  Each code evaluated keeps its 2**n
-    DFT bins, up to _CACHE_TERMS bins in all; a code past the cap is
-    transformed again at each use.  Each ripple is kept by code, then f_c,
-    for the whole search, so no code is filtered twice at one cutoff, across
-    retunes too, and `checks` counts the ripples asked for; a code's kept
-    ripples bracket where it crosses a target (`bracket`).  Code D's bits
-    are the first D slots of the fill order, which are the comparator's, and
-    the route is the one `steady_ripple` runs, so each ripple equals it bit
-    for bit.
+    Adds the fill order to the route and keeps the 2**n DFT bins of the last
+    code transformed, across retunes too.  Each ripple is kept by code, then
+    f_c, for the whole search, so no ripple is filtered twice at one cutoff,
+    and `checks` counts the ripples asked for; a code's kept ripples bracket
+    where it crosses a target (`bracket`).  Code D's bits are the first D
+    slots of the fill order, which are the comparator's, and the route is
+    the one `steady_ripple` runs, so each ripple equals it bit for bit.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
         super().__init__(cfg)
         self.order = _fill_order(cfg)
-        self.bins: dict[int, np.ndarray] = {}
+        self.code, self.bins = -1, np.zeros(0)  # the last code transformed and its bins
         self.ripples: dict[int, dict[float, float]] = {}
         self.checks = 0
 
     def _period_of(self, code: int) -> np.ndarray:
         """Filtered period of duty code `code` at the tuned cutoff."""
-        bins = self.bins.get(code)
-        if bins is None:
+        if code != self.code:
             bits = np.zeros(self.cfg.steps, dtype=np.uint8)
             bits[self.order[:code]] = 1
-            bins = _dft_bins(bits)
-            if (len(self.bins) + 1) * bins.size <= _CACHE_TERMS:
-                self.bins[code] = bins
-        return self.period(bins)
+            self.code, self.bins = code, _dft_bins(bits)
+        return self.period(self.bins)
 
     def ripple(self, code: int) -> float:
         """`steady_ripple` of duty code `code` at the tuned cutoff."""

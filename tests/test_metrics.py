@@ -306,11 +306,23 @@ def test_required_cutoff_equals_per_duty_search_n8(cfg):
         _reference_cutoff(cfg, 0.5)[:4])
 
 
+def _transforms(monkeypatch):
+    """One entry for each code `_Spectra` transforms from now on."""
+    transformed, dft_bins = [], metrics._dft_bins
+
+    def counted(bits):
+        transformed.append(int(bits.sum()))
+        return dft_bins(bits)
+
+    monkeypatch.setattr(metrics, "_dft_bins", counted)
+    return transformed
+
+
 def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
-    # first cutoff: the first ten codes keep their bins and the rest are
-    # transformed again at each use; a second request at one cutoff reads
-    # the remembered ripple, also back at the first cutoff after the others
-    monkeypatch.setattr(metrics, "_CACHE_TERMS", 10 * 64)
+    # each code is transformed once at a cutoff, and the last code's bins serve
+    # the first code of the next cutoff, across the retune; a second request at
+    # one cutoff reads the kept ripple, also back at the first cutoff after the others
+    transformed = _transforms(monkeypatch)
     filtered, period = [], _HarmonicRoute.period
 
     def counted(route, bins):
@@ -318,17 +330,19 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
         return period(route, bins)
 
     for cfg in ripple_configs(6):
-        spectra = _Spectra(cfg)
-        for f_ct in (0.003, 0.05 * cfg.sn, 0.4 * cfg.sn):
+        spectra, codes = _Spectra(cfg), list(range(cfg.steps))
+        for i, f_ct in enumerate((0.003, 0.05 * cfg.sn, 0.4 * cfg.sn)):
             fm = FilterModel(f_ct / cfg.period)
-            spectra.tune(fm)
-            unit = spectra._period_of(1)  # code 1, since C_R[0] = 0
+            unit = _unit_response(cfg, fm)
             assert float(unit.max() - unit.min()) * cfg.steps == steady_ripple(cfg, 1, fm)
-            for d in range(cfg.steps):
+            spectra.tune(fm)
+            transformed.clear()
+            for d in codes:
                 want = steady_ripple(cfg, d, fm)
                 assert spectra.ripple(d) == want, (cfg, f_ct, d)
                 assert spectra.ripple(d) == want, (cfg, f_ct, d)
-        assert sorted(spectra.bins) == list(range(10)), cfg
+            assert transformed == codes[i > 0:], (cfg, f_ct)
+            codes.reverse()
         fm = FilterModel(0.003 / cfg.period)
         want = [steady_ripple(cfg, d, fm) for d in range(cfg.steps)]
         spectra.tune(fm)
@@ -344,9 +358,13 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
     ModulatorConfig.pcm(7),
 ], ids=["pwm", "mpwm_sf4", "pcm_n7"])
 def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
-    cached = [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)]
-    monkeypatch.setattr(metrics, "_CACHE_TERMS", 0)
-    assert [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)] == cached
+    transformed = _transforms(monkeypatch)
+    kept = [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)]
+    memo = len(transformed)
+    # a last code that matches none: every period is transformed afresh
+    monkeypatch.setattr(_Spectra, "code", property(lambda _: -1, lambda *_: None), raising=False)
+    assert [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)] == kept
+    assert len(transformed) - memo > memo, cfg  # so the memo was in use
 
 
 def _swept_cutoffs(monkeypatch):
