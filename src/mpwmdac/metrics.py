@@ -401,7 +401,7 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     guess included, asks about one watched code alone, code 2**(n-1) at
     first, one past it where sf > 0: if it exceeds the target, so does the
     maximum, and the step is out of budget; else it is held in budget.  Each
-    harmonic ripple is kept by code, then f_c, so a rerun filters nothing
+    harmonic ripple is kept by code, then f_c, so a rerun filters no ripple
     twice.  Before each run bisects, a few probes filter the watched code
     until its kept ripples within and past the target lie within a factor
     1 + _REL_TOL / 2 (`_Spectra.probe`).  Its kept ripples then decide each

@@ -7,6 +7,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpwmdac import (
     EdgeModel,
@@ -279,33 +280,6 @@ def _reference_cutoff(cfg, target):
     return float(lo), float(lo / cfg.period), at_lo[1], at_lo[0], steps
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_required_cutoff_equals_per_duty_search(n):
-    for cfg in ripple_configs(n):
-        for target in (0.25, 0.5, 1.0):
-            res = required_cutoff(cfg, target)
-            *want, steps = _reference_cutoff(cfg, target)
-            assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want
-            # the watched code settles at least one step without a sweep, and
-            # each sweep re-checks at least one code
-            assert 1 <= res.sweeps < steps
-            assert res.sweeps <= res.ripple_checks
-
-
-@pytest.mark.parametrize("cfg", [
-    ModulatorConfig.pwm(8),
-    ModulatorConfig.mpwm(8, 3),
-    ModulatorConfig.mpwm(8, 4),
-    ModulatorConfig.pcm(7),
-], ids=["pwm", "mpwm_sf3", "mpwm_sf4", "pcm_n7"])
-def test_required_cutoff_equals_per_duty_search_n8(cfg):
-    # n=8 is where the one-per-slot screen starts to qualify; pcm n=7 and
-    # mpwm sf=4 re-check the most distinct codes per search
-    res = required_cutoff(cfg, 0.5)
-    assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
-        _reference_cutoff(cfg, 0.5)[:4])
-
-
 def _transforms(monkeypatch):
     """One entry for each code `_Spectra` transforms from now on."""
     transformed, dft_bins = [], metrics._dft_bins
@@ -367,21 +341,178 @@ def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
     assert len(transformed) - memo > memo, cfg  # so the memo was in use
 
 
-def _swept_cutoffs(monkeypatch):
-    """The omega of each sweep `required_cutoff` runs from now on, with its worst ripple."""
-    swept, worst_ripple = [], metrics._worst_ripple
+# searches whose first confirming sweep finds a code past the target, so the bisection reruns
+_RERUNS = {(ModulatorConfig.mpwm(4, 3), 1.0), (ModulatorConfig.mpwm(8, 4), 0.25),
+           (ModulatorConfig.pcm(7), 0.363)}
 
-    def recorded(spectra):
-        result = worst_ripple(spectra)
-        swept.append((spectra.omega, result[0]))
+
+def _observed(monkeypatch):
+    """The events of each `required_cutoff` from now on, in order:
+
+    ("step", f_c, held): a step's `_Spectra.settled`, None where the ripple asked next decides;
+    ("ripple", f_c, code, ripple, kept, asker): a ripple asked for, whether it was kept
+        before, and whether a "step", a "probe" or a "sweep" asked for it;
+    ("probe", a, b): the watched code's `_Spectra.bracket` after its probes;
+    ("filter", f_c, code, unit): a filtering, `unit` where a sweep takes its unit response,
+        which no ripple asked for;
+    ("sweep", f_c, ripple, code, spectra): a sweep, its worst ripple and code.
+    """
+    log, asker, asking = [], ["step"], [False]
+    settled, ripple, probe = _Spectra.settled, _Spectra.ripple, _Spectra.probe
+    period_of, worst_ripple = _Spectra._period_of, metrics._worst_ripple
+
+    def settling(spectra, code, f_c, target):
+        held = settled(spectra, code, f_c, target)
+        log.append(("step", f_c, held))
+        return held
+
+    def asked(spectra, code):
+        kept, asking[0] = spectra.f_c in spectra.ripples.get(code, {}), True
+        r = ripple(spectra, code)
+        asking[0] = False
+        log.append(("ripple", spectra.f_c, code, r, kept, asker[0]))
+        return r
+
+    def filtered(spectra, code):
+        log.append(("filter", spectra.f_c, code, not asking[0]))
+        return period_of(spectra, code)
+
+    def probed(spectra, code, target):
+        asker[0] = "probe"
+        probe(spectra, code, target)
+        asker[0] = "step"
+        log.append(("probe", *spectra.bracket(code, target)))
+
+    def swept(spectra, *args):
+        asker[0] = "sweep"
+        result = worst_ripple(spectra, *args)
+        asker[0] = "step"
+        log.append(("sweep", spectra.f_c, *result, spectra))
         return result
 
-    monkeypatch.setattr(metrics, "_worst_ripple", recorded)
-    return swept
+    for name, hook in [("settled", settling), ("ripple", asked), ("_period_of", filtered),
+                       ("probe", probed)]:
+        monkeypatch.setattr(_Spectra, name, hook)
+    monkeypatch.setattr(metrics, "_worst_ripple", swept)
+    return log
 
 
-def _omega(cfg, f_ct):
-    return FilterModel(f_ct / cfg.period).omega_c / cfg.f_clk
+def _check_search(cfg, target, res, log):
+    """Every invariant of `res = required_cutoff(cfg, target)`, read off its `_observed` log."""
+    where = (cfg, target)
+    assert res.ripple_checks == sum(event[0] == "ripple" for event in log), where
+    assert 1 <= res.sweeps == sum(event[0] == "sweep" for event in log) <= res.ripple_checks, where
+    # where sf = 0 the start code 2**(n-1) is the worst code, so no sweep names another
+    assert cfg.sf > 0 or res.sweeps == 1, where
+    guess = cutoff_rule_of_thumb(cfg.n, target) * max(1, cfg.sn) / cfg.period
+    # a running-sum sweep may filter code 1 for its unit response and again for its ripple
+    # at one cutoff; only where the search reruns is that filtering held to the rule too
+    strict = where in _RERUNS
+    filtered, failed = [], []
+    steps, codes, bracket, pending, swept = [], set(), None, None, False
+    for kind, f_c, *rest in log:  # f_c is a probe's bracket's low end
+        if kind == "step":
+            assert pending is None, where
+            if swept:  # a step after a sweep starts the next run of the bisection
+                steps, codes, bracket, swept = [], set(), None, False
+            if rest[0] is None:
+                pending = f_c
+            else:
+                steps.append((f_c, rest[0]))
+        elif kind == "ripple" and rest[3] != "sweep":
+            code, r, kept, asker = rest
+            # one watched code a run, never asked for again where it is kept, and asked
+            # for by a step only where its kept ripples do not settle that step
+            codes.add(code)
+            assert len(codes) == 1 and not kept, where
+            assert pending == (f_c if asker == "step" else None), where
+            if asker == "step":
+                steps.append((f_c, r <= target))
+                pending = None
+                # after the probes, only steps strictly inside the probed bracket are filtered
+                assert bracket is None or bracket[0] < f_c < bracket[1], where
+        elif kind == "probe":
+            bracket = (f_c, rest[0])
+        elif kind == "filter":
+            code, unit = rest
+            assert code == 1 or not unit, where
+            filtered.append((code, f_c, unit and not strict))
+        elif kind == "sweep":
+            r, code, spectra = rest
+            # each sweep confirms its run's top or the reported cutoff, the guess only as top
+            top = max((f for f, held in steps if held), default=0.0)
+            assert f_c in (top, res.f_c_hz) and (f_c != guess or guess == top), where
+            if r > target:
+                failed.append((f_c, code, spectra))
+            swept = True
+    assert pending is None, where
+    assert len(filtered) == len(set(filtered)), where  # no code filtered twice at one cutoff
+    assert failed or not strict, where
+    for f_c, code, spectra in failed:
+        # a sweep past the target keeps its worst code's ripple there, so that code's kept
+        # ripples refuse every step at or above this cutoff (these calls log steps too)
+        assert spectra.ripples[code][f_c] > target, where
+        above = [f for f in spectra.ripples[code] if f >= f_c]
+        for f in [*above, *(f_c * np.geomspace(1, 16 * cfg.sn, 9)).tolist()]:
+            assert spectra.settled(code, f, target) is False, (where, code, f_c, f)
+
+
+def _searches(n):
+    """(cfg, target) at n: where n <= 8 pwm, mpwm at every sf and pcm at targets 0.25, 0.5
+    and 1.0; pwm and mpwm sf 0 at those and 8 targets in 0.25..1.0; pcm n7 at 0.363, which
+    reruns; and pwm n8, mpwm n8 sf4 and pcm n7 at 0.585."""
+    shaped = [ModulatorConfig.pwm(n), ModulatorConfig.mpwm(n, 0)]
+    others = [*(ModulatorConfig.mpwm(n, sf) for sf in range(1, n)), ModulatorConfig.pcm(n)]
+    return list(dict.fromkeys([
+        *((cfg, t) for cfg in shaped + others * (n <= 8) for t in (0.25, 0.5, 1.0)),
+        *((cfg, t) for cfg in shaped for t in np.linspace(0.25, 1.0, 8).tolist()),
+        *(((ModulatorConfig.pcm(7), 0.363), (ModulatorConfig.pcm(7), 0.585)) * (n == 7)),
+        *(((ModulatorConfig.pwm(8), 0.585), (ModulatorConfig.mpwm(8, 4), 0.585)) * (n == 8)),
+    ]))
+
+
+def _check_against_reference(cfg, target, res):
+    *want, steps = _reference_cutoff(cfg, target)
+    assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want, (cfg, target)
+    assert res.sweeps < steps, (cfg, target)  # the watched code settles a step without a sweep
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_search_keeps_the_invariants_of_the_cutoff_search(n, monkeypatch):
+    log = _observed(monkeypatch)
+    for cfg, target in _searches(n):
+        log.clear()
+        res = required_cutoff(cfg, target)
+        _check_search(cfg, target, res, log)
+        if n <= 8:
+            _check_against_reference(cfg, target, res)
+
+
+@st.composite
+def _ripple_configs(draw, max_n):
+    """pwm, mpwm at any sf or pcm, at n 2..max_n and a clock of 50, 100 or 200 MHz."""
+    n, f_clk = draw(st.integers(2, max_n)), draw(st.sampled_from([50e6, 100e6, 200e6]))
+    sf = draw(st.sampled_from([None, *range(n)]))  # None: pwm or pcm
+    if sf is None:
+        return draw(st.sampled_from([ModulatorConfig.pwm, ModulatorConfig.pcm]))(n, f_clk)
+    return ModulatorConfig.mpwm(n, sf, f_clk)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_ripple_configs(7), st.floats(0.1, 2.0))
+def test_random_searches_keep_the_invariants_of_the_cutoff_search(cfg, target):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        log = _observed(monkeypatch)
+        res = required_cutoff(cfg, target)
+        _check_search(cfg, target, res, log)
+    _check_against_reference(cfg, target, res)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_ripple_configs(8), st.floats(-5.0, math.log10(16.0)))
+def test_worst_steady_ripple_equals_per_duty_loop_at_random_cutoffs(cfg, log_f_ct):
+    fm = FilterModel(10.0**log_f_ct / cfg.period)
+    assert worst_steady_ripple(cfg, fm) == _per_duty_worst(cfg, fm)[1]
 
 
 @pytest.mark.parametrize("cfg, target, tested", [
@@ -398,184 +529,14 @@ def _omega(cfg, f_ct):
 ], ids=["floor_mpwm_n5_sf4", "floor_mpwm_n6_sf5", "16_pwm_n2", "16_pwm_n3", "16_mpwm_n3_sf1"])
 def test_required_cutoff_names_each_f_ct_when_it_cannot_bracket_the_target(
         cfg, target, tested, monkeypatch):
-    swept = _swept_cutoffs(monkeypatch)
+    log = _observed(monkeypatch)
     with pytest.raises(ParameterError, match=re.escape(f"bracket the target; tested f_cT {tested}")):
         required_cutoff(cfg, target)
     # no step needs a sweep, the guess included, so a search that misses the
     # floor sweeps nowhere; the last doubling held in budget is confirmed by
     # one before the search gives up
     last = [tested[-1]] if tested[-1] > tested[0] else []
-    assert [omega for omega, _ in swept] == [_omega(cfg, f) for f in last]
-
-
-@pytest.mark.parametrize("cfg, target", [(ModulatorConfig.mpwm(4, 3), 1.0),
-                                         (ModulatorConfig.mpwm(8, 4), 0.25),
-                                         (ModulatorConfig.pcm(7), 0.363)],
-                         ids=["mpwm_n4_sf3", "mpwm_n8_sf4", "pcm_n7"])
-def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, target, monkeypatch):
-    filtered, period_of = [], _Spectra._period_of
-
-    def counted(spectra, code):
-        filtered.append((code, spectra.omega))
-        return period_of(spectra, code)
-
-    monkeypatch.setattr(_Spectra, "_period_of", counted)
-    failed, worst_ripple = [], metrics._worst_ripple
-
-    def sweeping(spectra):
-        # a sweep past the target keeps its worst code's ripple there, so that
-        # code's kept ripples refuse every step at or above this cutoff
-        ripple, code = worst_ripple(spectra)
-        if ripple > target:
-            f_c = spectra.f_c
-            failed.append(f_c)
-            assert spectra.ripples[code][f_c] > target
-            above = [f for f in spectra.ripples[code] if f >= f_c]
-            for f in [*above, *(f_c * np.geomspace(1, 16 * cfg.sn, 9)).tolist()]:
-                assert spectra.settled(code, f, target) is False, (code, f_c, f)
-        return ripple, code
-
-    monkeypatch.setattr(metrics, "_worst_ripple", sweeping)
-    required_cutoff(cfg, target)
-    # a confirming sweep found a code past the target, so the bisection ran again
-    assert failed
-    assert len(filtered) == len(set(filtered))
-
-
-@pytest.mark.parametrize("cfg", [
-    ModulatorConfig.pwm(8),
-    ModulatorConfig.mpwm(8, 4),
-    ModulatorConfig.pcm(7),
-], ids=["pwm", "mpwm_sf4", "pcm_n7"])
-def test_ripple_checks_count_the_ripples_asked_for_one_a_step(cfg, monkeypatch):
-    ripple, tune, worst_ripple = _Spectra.ripple, _HarmonicRoute.tune, metrics._worst_ripple
-    runs, sweeping = [], [False]  # each run of the bisection: each step's codes asked for
-
-    def asked(spectra, code):
-        calls.append(code)
-        if not sweeping[0]:
-            runs[-1][-1].append(code)
-        return ripple(spectra, code)
-
-    def tuned(spectra, fm):  # each step tunes once, and so does each sweep
-        runs[-1].append([])
-        tune(spectra, fm)
-
-    def swept(spectra):
-        sweeping[0] = True
-        result = worst_ripple(spectra)
-        sweeping[0] = False
-        runs.append([])
-        return result
-
-    monkeypatch.setattr(_Spectra, "ripple", asked)
-    monkeypatch.setattr(_HarmonicRoute, "tune", tuned)
-    monkeypatch.setattr(metrics, "_worst_ripple", swept)
-    for target in (0.25, 0.585, 1.0):
-        calls, runs[:] = [], [[]]
-        res = required_cutoff(cfg, target)
-        assert res.ripple_checks == len(calls), target
-        for steps in runs:  # one watched code, asked for once at each step
-            assert all(len(codes) <= 1 for codes in steps), target
-            assert len({code for codes in steps for code in codes}) <= 1, target
-
-
-@pytest.mark.parametrize("cfg", [
-    ModulatorConfig.pwm(8),
-    ModulatorConfig.mpwm(8, 3),
-    ModulatorConfig.pcm(7),
-], ids=["pwm", "mpwm_sf3", "pcm_n7"])
-def test_the_bisection_filters_only_inside_the_probed_bracket(cfg, monkeypatch):
-    ripple, probe, worst_ripple = _Spectra.ripple, _Spectra.probe, metrics._worst_ripple
-    asked = []  # outside the sweeps: (f_c, whether it was kept, the probed bracket or None)
-    bracket, sweeping = [None], [False]
-
-    def asking(spectra, code):
-        if not sweeping[0]:
-            asked.append((spectra.f_c, spectra.f_c in spectra.ripples.get(code, {}), bracket[0]))
-        return ripple(spectra, code)
-
-    def probed(spectra, code, target):
-        probe(spectra, code, target)
-        kept = spectra.ripples[code]
-        bracket[0] = (max((f for f, r in kept.items() if r <= target), default=0.0),
-                      min((f for f, r in kept.items() if r > target), default=math.inf))
-
-    def swept(spectra):  # a sweep ends the run of the bisection before it
-        sweeping[0], bracket[0] = True, None
-        result = worst_ripple(spectra)
-        sweeping[0] = False
-        return result
-
-    monkeypatch.setattr(_Spectra, "ripple", asking)
-    monkeypatch.setattr(_Spectra, "probe", probed)
-    monkeypatch.setattr(metrics, "_worst_ripple", swept)
-    for target in (0.25, 0.5, 1.0):
-        asked.clear()
-        res = required_cutoff(cfg, target)
-        assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
-            _reference_cutoff(cfg, target)[:4]), target
-        # no step asks again for a ripple the search holds, and after the probes
-        # only a step strictly inside the probed bracket is filtered
-        assert not any(kept for _, kept, _ in asked), target
-        assert all(b[0] < f_c < b[1] for f_c, _, b in asked if b), target
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_every_sweep_confirms_its_runs_top_or_the_reported_cutoff(n, monkeypatch):
-    settled, ripple, worst_ripple = _Spectra.settled, _Spectra.ripple, metrics._worst_ripple
-    runs, pending = [], []  # each run of the bisection: its steps' (f_c, held), its sweeps' f_c
-
-    def settling(spectra, code, f_c, target):
-        held = settled(spectra, code, f_c, target)
-        if not runs or runs[-1][1]:  # a step after a sweep starts the next run
-            runs.append(([], []))
-        if held is None:  # the watched code's ripple, asked for next, decides the step
-            pending.append((f_c, target))
-        else:
-            runs[-1][0].append((f_c, held))
-        return held
-
-    def asking(spectra, code):
-        r = ripple(spectra, code)
-        if pending:
-            f_c, target = pending.pop()
-            runs[-1][0].append((f_c, r <= target))
-        return r
-
-    def sweeping(spectra):
-        runs[-1][1].append(spectra.f_c)
-        return worst_ripple(spectra)
-
-    monkeypatch.setattr(_Spectra, "settled", settling)
-    monkeypatch.setattr(_Spectra, "ripple", asking)
-    monkeypatch.setattr(metrics, "_worst_ripple", sweeping)
-    mpwm = [ModulatorConfig.mpwm(n, sf) for sf in range(n)]
-    for cfg in [ModulatorConfig.pwm(n), *mpwm, ModulatorConfig.pcm(n)]:
-        for target in (0.25, 0.5, 1.0):
-            runs.clear()
-            res = required_cutoff(cfg, target)
-            assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
-                _reference_cutoff(cfg, target)[:4]), (cfg, target)
-            guess = cutoff_rule_of_thumb(n, target) * max(1, cfg.sn) / cfg.period
-            assert res.sweeps == sum(len(sweeps) for _, sweeps in runs), (cfg, target)
-            for steps, sweeps in runs:
-                top = max((f_c for f_c, held in steps if held), default=0.0)
-                assert set(sweeps) <= {top, res.f_c_hz}, (cfg, target)
-                assert guess not in sweeps or guess == top, (cfg, target)
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_a_pwm_shaped_search_sweeps_once(n):
-    # where sf = 0 the start code 2**(n-1) is the worst code, so the sweep that
-    # confirms the bisection never names another and the bisection runs once
-    for cfg in (ModulatorConfig.pwm(n), ModulatorConfig.mpwm(n, 0)):
-        for target in np.linspace(0.25, 1.0, 8).tolist():
-            res = required_cutoff(cfg, target)
-            assert res.sweeps == 1, (cfg, target)
-            if n <= 8:
-                assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == list(
-                    _reference_cutoff(cfg, target)[:4]), (cfg, target)
+    assert [event[1] for event in log if event[0] == "sweep"] == [f / cfg.period for f in last]
 
 
 def test_worst_steady_ripple_rejects_fons():
