@@ -410,7 +410,7 @@ def _check_search(cfg, target, res, log):
     strict = where in _RERUNS
     filtered, failed = [], []
     steps, codes, bracket, pending, swept = [], set(), None, None, False
-    for kind, f_c, *rest in log:  # f_c is a probe's bracket's low end
+    for kind, f_c, *rest in log:  # for a probe, f_c is its bracket's low end
         if kind == "step":
             assert pending is None, where
             if swept:  # a step after a sweep starts the next run of the bisection
