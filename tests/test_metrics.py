@@ -1,5 +1,6 @@
 """Metric tests: closed forms against brute-force sweeps, cutoff search."""
 
+import functools
 import inspect
 import math
 import re
@@ -326,11 +327,17 @@ def test_cached_spectra_give_steady_ripple_bit_for_bit(monkeypatch):
         assert filtered == [], cfg
 
 
-@pytest.mark.parametrize("cfg", [
-    ModulatorConfig.pwm(8),
-    ModulatorConfig.mpwm(8, 4),
-    ModulatorConfig.pcm(7),
-], ids=["pwm", "mpwm_sf4", "pcm_n7"])
+# n=8 is where the one-per-slot screen starts to qualify; pcm n=7 and
+# mpwm sf=4 re-check the most distinct codes per search
+_PICKED = {"pwm": ModulatorConfig.pwm(8), "mpwm_sf3": ModulatorConfig.mpwm(8, 3),
+           "mpwm_sf4": ModulatorConfig.mpwm(8, 4), "pcm_n7": ModulatorConfig.pcm(7)}
+
+
+def _picked(*ids):
+    return pytest.mark.parametrize("cfg", [_PICKED[i] for i in ids], ids=ids)
+
+
+@_picked("pwm", "mpwm_sf4", "pcm_n7")
 def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
     transformed = _transforms(monkeypatch)
     kept = [astuple(required_cutoff(cfg, target)) for target in (0.25, 0.5, 1.0)]
@@ -342,8 +349,8 @@ def test_required_cutoff_is_the_same_with_nothing_cached(cfg, monkeypatch):
 
 
 # searches whose first confirming sweep finds a code past the target, so the bisection reruns
-_RERUNS = {(ModulatorConfig.mpwm(4, 3), 1.0), (ModulatorConfig.mpwm(8, 4), 0.25),
-           (ModulatorConfig.pcm(7), 0.363)}
+_RERUNS = [(ModulatorConfig.mpwm(4, 3), 1.0), (ModulatorConfig.mpwm(8, 4), 0.25),
+           (ModulatorConfig.pcm(7), 0.363)]
 
 
 def _observed(monkeypatch):
@@ -457,35 +464,67 @@ def _check_search(cfg, target, res, log):
             assert spectra.settled(code, f, target) is False, (where, code, f_c, f)
 
 
-def _searches(n):
-    """(cfg, target) at n: where n <= 8 pwm, mpwm at every sf and pcm at targets 0.25, 0.5
-    and 1.0; pwm and mpwm sf 0 at those and 8 targets in 0.25..1.0; pcm n7 at 0.363, which
-    reruns; and pwm n8, mpwm n8 sf4 and pcm n7 at 0.585."""
-    shaped = [ModulatorConfig.pwm(n), ModulatorConfig.mpwm(n, 0)]
-    others = [*(ModulatorConfig.mpwm(n, sf) for sf in range(1, n)), ModulatorConfig.pcm(n)]
-    return list(dict.fromkeys([
-        *((cfg, t) for cfg in shaped + others * (n <= 8) for t in (0.25, 0.5, 1.0)),
-        *((cfg, t) for cfg in shaped for t in np.linspace(0.25, 1.0, 8).tolist()),
-        *(((ModulatorConfig.pcm(7), 0.363), (ModulatorConfig.pcm(7), 0.585)) * (n == 7)),
-        *(((ModulatorConfig.pwm(8), 0.585), (ModulatorConfig.mpwm(8, 4), 0.585)) * (n == 8)),
-    ]))
+_reference = functools.cache(_reference_cutoff)  # the tests below share searches
 
 
 def _check_against_reference(cfg, target, res):
-    *want, steps = _reference_cutoff(cfg, target)
+    *want, steps = _reference(cfg, target)
     assert [res.f_ct, res.f_c_hz, res.worst_duty, res.worst_ripple_lsb] == want, (cfg, target)
     assert res.sweeps < steps, (cfg, target)  # the watched code settles a step without a sweep
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_every_search_keeps_the_invariants_of_the_cutoff_search(n, monkeypatch):
+def _check_searches(searches, monkeypatch):
+    """Observe and check each search, and up to n = 8 compare it with `_reference_cutoff`.
+    Each test below checks every invariant on the searches it runs."""
     log = _observed(monkeypatch)
-    for cfg, target in _searches(n):
+    for cfg, target in searches:
         log.clear()
         res = required_cutoff(cfg, target)
         _check_search(cfg, target, res, log)
-        if n <= 8:
+        if cfg.n <= 8:
             _check_against_reference(cfg, target, res)
+
+
+_TARGETS = (0.25, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_required_cutoff_equals_per_duty_search(n, monkeypatch):
+    _check_searches([(cfg, t) for cfg in ripple_configs(n) for t in _TARGETS], monkeypatch)
+
+
+@_picked("pwm", "mpwm_sf3", "mpwm_sf4", "pcm_n7")
+def test_required_cutoff_equals_per_duty_search_n8(cfg, monkeypatch):
+    _check_searches([(cfg, 0.5)], monkeypatch)
+
+
+@pytest.mark.parametrize("cfg, target", _RERUNS, ids=["mpwm_n4_sf3", "mpwm_n8_sf4", "pcm_n7"])
+def test_a_rerun_of_the_bisection_filters_no_code_twice_at_one_cutoff(cfg, target, monkeypatch):
+    _check_searches([(cfg, target)], monkeypatch)
+
+
+@_picked("pwm", "mpwm_sf4", "pcm_n7")
+def test_ripple_checks_count_the_ripples_asked_for_one_a_step(cfg, monkeypatch):
+    _check_searches([(cfg, t) for t in (0.25, 0.585, 1.0)], monkeypatch)
+
+
+@_picked("pwm", "mpwm_sf3", "pcm_n7")
+def test_the_bisection_filters_only_inside_the_probed_bracket(cfg, monkeypatch):
+    _check_searches([(cfg, t) for t in _TARGETS], monkeypatch)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_sweep_confirms_its_runs_top_or_the_reported_cutoff(n, monkeypatch):
+    cfgs = [ModulatorConfig.pwm(n), *(ModulatorConfig.mpwm(n, sf) for sf in range(n)),
+            ModulatorConfig.pcm(n)]
+    _check_searches([(cfg, t) for cfg in cfgs for t in _TARGETS], monkeypatch)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_pwm_shaped_search_sweeps_once(n, monkeypatch):
+    targets = dict.fromkeys([*_TARGETS, *np.linspace(0.25, 1.0, 8).tolist()])
+    shaped = (ModulatorConfig.pwm(n), ModulatorConfig.mpwm(n, 0))
+    _check_searches([(cfg, t) for cfg in shaped for t in targets], monkeypatch)
 
 
 @st.composite
