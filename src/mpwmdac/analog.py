@@ -278,51 +278,71 @@ def _expm_finite(m: np.ndarray, fm: FilterModel, span: str, seconds: float) -> n
     return e
 
 
-def _foh_states(ad: np.ndarray, bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray,
-                states: np.ndarray) -> None:
+def _foh_runs(bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray) -> list:
+    """The run table of the piecewise-linear input u for `_foh_states`.
+
+    The steps fall into runs over which the pair (u[i], u[i+1]) is constant.
+    Each run is (length, adds): adds is None where u[i] = u[i+1] = 0, an idle
+    run, and otherwise (q0, q1, r0, r1), q = u[i] Bd0 and r = u[i+1] Bd1 as
+    Python floats.  A one-term matmul u[i] @ Bd is the plain product, so q
+    and r are exactly lsim's.
+    """
+    if u.size < 2:
+        return []
+    firsts = np.flatnonzero((u[1:-1] != u[:-2]) | (u[2:] != u[1:-1])) + 1
+    firsts = np.concatenate(([0], firsts))  # each run's first step
+    lengths = np.diff(firsts, append=u.size - 1).tolist()
+    qs = (u[firsts, None] * bd0).tolist()
+    rs = (u[firsts + 1, None] * bd1).tolist()
+    idle = ((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist()
+    return [(n, None if skip else (*q, *r)) for n, q, r, skip in zip(lengths, qs, rs, idle)]
+
+
+def _foh_states(ad: np.ndarray, runs: list, states: np.ndarray) -> None:
     """Fill states[1:] with the states at the samples of the piecewise-linear
-    input u, from the state in states[0].
+    input whose run table (`_foh_runs`) is `runs`, from the state in states[0].
 
     This is the first-order-hold recurrence of `scipy.signal.lsim(...,
     interp=True)`, x[i+1] = (x[i] @ Ad + u[i] Bd0) + u[i+1] Bd1, with lsim's
     Ad, Bd0 and Bd1 and its arithmetic, so the states equal lsim's bit for bit
     (up to the sign of an exact zero):
 
-    - x[i] @ Ad stays one BLAS gemv per step, written straight into the next
-      row.  The kernel rounds a 2-vector product as fma(x1, a1, x0 * a0),
-      which a loop over Python floats cannot reproduce.
-    - The steps fall into runs over which the pair (u[i], u[i+1]) is
-      constant, and each run computes q = u[i] Bd0 and r = u[i+1] Bd1 once,
-      as Python floats.
-    - The adds are Python float adds on the gemv's result v, written back as
-      x[i+1][j] = (v[j] + q[j]) + r[j]: CPython's float add is numpy's IEEE
-      binary64 add, rounded to nearest, and this is lsim's order, so the
-      states keep their bits without a numpy add call per step.
-    - In an idle run, u[i] = u[i+1] = 0, q and r are signed zeros, and those
-      two adds are dropped.  Adding a zero returns a nonzero float unchanged,
-      and no nonzero value depends on the sign of a zero, so only the sign of
-      an exact-zero state could differ from lsim's, which np.array_equal and
+    - x[i] @ Ad stays one BLAS gemv per step, `x.dot(ad, nxt)`, lsim's own
+      call, written straight into the next row.  The kernel rounds a
+      2-vector product as fma(x1, a1, x0 * a0), which a loop over Python
+      floats cannot reproduce.
+    - Each run takes one of two loops, so no step tests what kind of run it
+      is in.  An idle run's loop is the gemv alone.  An active run's loop
+      adds its q and r to the gemv's result v as Python floats, written back
+      as x[i+1][j] = (v[j] + q[j]) + r[j] through one memoryview of
+      `states`: CPython's float add is numpy's IEEE binary64 add, rounded to
+      nearest, and this is lsim's order, so the states keep their bits
+      without a numpy add call per step.
+    - In an idle run q and r are signed zeros, and those two adds are
+      dropped.  Adding a zero returns a nonzero float unchanged, and no
+      nonzero value depends on the sign of a zero, so only the sign of an
+      exact-zero state could differ from lsim's, which np.array_equal and
       every float comparison ignore.
     """
-    if u.size < 2:
-        return
-    firsts = np.flatnonzero((u[1:-1] != u[:-2]) | (u[2:] != u[1:-1])) + 1
-    firsts = np.concatenate(([0], firsts))  # each run's first step
-    lengths = np.diff(firsts, append=u.size - 1).tolist()
-    # a one-term matmul u[i] @ Bd is the plain product, so q and r are exact
-    qs = (u[firsts, None] * bd0).tolist()
-    rs = (u[firsts + 1, None] * bd1).tolist()
-    idle = ((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist()
+    flat = memoryview(states.reshape(-1))  # states[i][j] is flat[2 * i + j]
     x = states[0]
     rows = iter(states[1:])
-    for n, (q0, q1), (r0, r1), skip in zip(lengths, qs, rs, idle):
-        for nxt in islice(rows, n):
-            x.dot(ad, nxt)  # the method skips np.dot's dispatch
-            if not skip:
-                v0, v1 = nxt.tolist()
-                nxt[0] = (v0 + q0) + r0
-                nxt[1] = (v1 + q1) + r1
-            x = nxt
+    k = 2  # flat index of the next row's first element
+    for n, adds in runs:
+        if adds is None:
+            for nxt in islice(rows, n):
+                x.dot(ad, nxt)  # the method skips np.dot's dispatch
+                x = nxt
+            k += 2 * n
+        else:
+            q0, q1, r0, r1 = adds
+            for nxt in islice(rows, n):
+                x.dot(ad, nxt)
+                flat[k] = (flat[k] + q0) + r0
+                k += 1
+                flat[k] = (flat[k] + q1) + r1
+                k += 1
+                x = nxt
 
 
 def filter_response(
@@ -356,11 +376,12 @@ def filter_response(
     bd0 = e[n, :n] - bd1
     u = np.concatenate([trace.samples, trace.samples[:1]]) if steady_state else trace.samples
     states = np.zeros((u.size, n))
+    runs = _foh_runs(bd0, bd1, u)  # both steady-state passes run over the same input
     if steady_state:
         phi = _expm_finite(a * (size * dt), fm, "T", size * dt)
-        _foh_states(ad, bd0, bd1, u, states)  # from the zero state to x_forced = states[-1]
+        _foh_states(ad, runs, states)  # from the zero state to x_forced = states[-1]
         states[0] = np.linalg.solve(np.eye(n) - phi, states[-1])
-    _foh_states(ad, bd0, bd1, u, states)
+    _foh_states(ad, runs, states)
     return AnalogTrace(states[:size] @ c[0], trace.sample_rate, trace.period_s)
 
 

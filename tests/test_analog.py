@@ -238,6 +238,20 @@ def test_filter_response_is_lsim_bit_for_bit_on_random_traces(samples, log_f_ct)
         assert np.array_equal(out.samples, _lsim_response(trace, fm, steady_state))
 
 
+# traces of up to 12 runs of one level held for 1..300 samples: long idle runs after
+# active ones, and active steps far into the trace
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LEVELS), st.integers(1, 300)), min_size=1, max_size=12),
+       st.floats(-3.0, math.log10(200.0)))
+def test_filter_response_is_lsim_bit_for_bit_on_long_runs(runs, log_f_ct):
+    levels, lengths = zip(*runs)
+    trace = AnalogTrace(np.repeat(np.array(levels), lengths), 1e6)
+    fm = FilterModel(10.0**log_f_ct * trace.sample_rate / len(trace))
+    for steady_state in (False, True):
+        out = filter_response(trace, fm, steady_state=steady_state)
+        assert np.array_equal(out.samples, _lsim_response(trace, fm, steady_state))
+
+
 def test_filter_rejects_an_empty_trace():
     with pytest.raises(ParameterError, match="at least one sample"):
         filter_response(AnalogTrace(np.zeros(0), 1e6), FilterModel(1e3))
