@@ -262,6 +262,14 @@ class _Spectra(_HarmonicRoute):
             kept[self.f_c] = _ripple_lsb(self._period_of(code), self.cfg)
         return kept[self.f_c]
 
+    def unit(self) -> np.ndarray:
+        """Filtered period of code 1, slot 0 alone since C_R[0] = 0, at the tuned
+        cutoff: the unit response.  Its ripple is kept as code 1's, so a later
+        `ripple(1)` here filters nothing, but it is not counted as a check."""
+        unit = self._period_of(1)
+        self.ripples.setdefault(1, {}).setdefault(self.f_c, _ripple_lsb(unit, self.cfg))
+        return unit
+
     def bracket(self, code: int, target: float) -> tuple[float, float]:
         """(a, b): the largest kept f_c where `code` is within `target`, 0 if none,
         and the smallest kept f_c where it is past it, inf if none."""
@@ -305,14 +313,18 @@ class _Spectra(_HarmonicRoute):
             self.ripple(code)
 
 
-def _worst_ripple(spectra: _Spectra) -> tuple[float, int]:
-    """`worst_steady_ripple` at the tuned cutoff.
+def _worst_ripple(spectra: _Spectra, target: float = math.inf) -> tuple[float, int]:
+    """`worst_steady_ripple` at the tuned cutoff, or the first code found past
+    `target` and its ripple.
 
     One sweep gives every code D a screen ripple r_D, and every code with
     r_D >= max r - w is re-checked on the harmonic route, the width w chosen
     so that the code with the largest `steady_ripple` h, and every code tied
     with it, passes: the re-checks find the maximum and its lowest code
-    exactly.
+    exactly.  They run in falling screen order, the lowest code first on a
+    tie, and stop at the first code whose ripple exceeds `target`: a failing
+    confirmation needs only one such code.  Where none does, every near code
+    is re-checked and the maximum is returned.
 
     Where `_exact_screen(cfg)`, r_D is the exact ripple (`_exact_ripples`),
     a sweep of 2**(n+sf+1) segments.  It lies within delta =
@@ -340,16 +352,21 @@ def _worst_ripple(spectra: _Spectra) -> tuple[float, int]:
         ripples, beta = _exact_ripples(cfg, spectra.omega)
         width = 2 * spectra.gap(2 * cfg.sn, beta)
     else:
-        unit = spectra._period_of(1)  # slot 0 alone: code 1, since C_R[0] = 0
+        unit = spectra.unit()
         samples, c = unit[::_SAMPLES_PER_SLOT], _interpolation_bound(unit)
         if c > _SCREEN_REL * (samples.max() - samples.min()) * cfg.steps:
             samples, c = unit, 0.0
         ripples = _running_ripples(spectra.order, samples)
         width = c + 4 * _ripple_margin(cfg)
-    near = np.nonzero(ripples >= ripples.max() - width)[0] + 1
-    exact = [spectra.ripple(int(d)) for d in near]
-    best = int(np.argmax(exact))
-    return exact[best], int(near[best])
+    near = np.nonzero(ripples >= ripples.max() - width)[0]
+    checked = []
+    for code in (near[np.argsort(-ripples[near], kind="stable")] + 1).tolist():
+        r = spectra.ripple(code)
+        if r > target:
+            return r, code
+        checked.append((-r, code))
+    r, code = min(checked)  # the largest ripple, its lowest code on a tie
+    return -r, code
 
 
 def worst_steady_ripple(cfg: ModulatorConfig, fm: FilterModel) -> tuple[float, int]:
@@ -375,11 +392,12 @@ class CutoffResult:
     and at the reported cutoff.  ripple_checks counts the harmonic-route
     ripples the search asked for: the watched code's at the guess, at each
     halving or doubling step and each probe, at each bisection step that its
-    kept ripples do not settle, and the screen re-checks, whether the ripple
-    was filtered then or kept from earlier.  A step settled from the watched
-    code's kept ripples (`_Spectra.settled`) asks for none.  The re-check
-    count depends on the screen a sweep runs (`_worst_ripple`), exact edge
-    phasors or running sums; the other fields do not.
+    kept ripples do not settle, and the screen re-checks up to the first code
+    past the target, whether the ripple was filtered then or kept from
+    earlier.  A step settled from the watched code's kept ripples
+    (`_Spectra.settled`) asks for none.  The re-check count depends on the
+    screen a sweep runs (`_worst_ripple`), exact edge phasors or running
+    sums; the other fields do not.
     """
 
     f_ct: float
@@ -413,16 +431,17 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     bisection relies on anyway.  Probes move neither lo, hi nor the largest
     f_c*T held in budget, so the bisection asks the same steps.  One sweep
     then confirms the largest f_c*T held in budget.  If another code exceeds
-    the target there, it becomes the watched code, its ripple past the
-    target there kept, so no later step at or above that f_c*T is held in
-    budget, and the bracketing and bisection run again.  The reported ripple
-    and code come from a sweep at the final lo.  The result is that of a
-    sweep at every step wherever the worst ripple is non-decreasing in
-    f_c*T, which bisection assumes anyway.  That holds on [1e-3, SN] for
-    every PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM
-    at n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
-    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
-    the rule-of-thumb closed form is reported alongside.
+    the target there, the first one the sweep finds becomes the watched
+    code (`_worst_ripple`), its ripple past the target there kept, so no
+    later step at or above that f_c*T is held in budget, and the bracketing
+    and bisection run again.  The reported ripple and code come from a sweep
+    at the final lo.  The result is that of a sweep at every step wherever
+    the worst ripple is non-decreasing in f_c*T, which bisection assumes
+    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
+    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM
+    sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM), where
+    the ripple exceeds full scale.  For PWM the rule-of-thumb closed form is
+    reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
@@ -439,10 +458,11 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
         spectra.tune(fm)
 
     def sweep(f_ct: float) -> tuple[float, int]:
-        """(worst ripple, its code) at f_ct, from one sweep per f_ct."""
+        """(worst ripple, its code) at f_ct, from one sweep per f_ct; where a code
+        exceeds the target, the first one found past it (`_worst_ripple`)."""
         if f_ct not in swept:
             tune(f_ct)
-            swept[f_ct] = _worst_ripple(spectra)
+            swept[f_ct] = _worst_ripple(spectra, ripple_target)
         return swept[f_ct]
 
     def within(f_ct: float) -> bool:

@@ -412,10 +412,11 @@ def _check_search(cfg, target, res, log):
     # where sf = 0 the start code 2**(n-1) is the worst code, so no sweep names another
     assert cfg.sf > 0 or res.sweeps == 1, where
     guess = cutoff_rule_of_thumb(cfg.n, target) * max(1, cfg.sn) / cfg.period
-    # a running-sum sweep may filter code 1 for its unit response and again for its ripple
-    # at one cutoff; only where the search reruns is that filtering held to the rule too
+    # a running-sum sweep filters code 1 for its unit response and keeps its ripple, but
+    # where code 1's ripple was kept there before the sweep, that filtering is a second
+    # one; only where the search reruns is that case held to the rule too
     strict = where in _RERUNS
-    filtered, failed = [], []
+    filtered, failed, asked = [], [], set()
     steps, codes, bracket, pending, swept = [], set(), None, None, False
     for kind, f_c, *rest in log:  # for a probe, f_c is its bracket's low end
         if kind == "step":
@@ -428,6 +429,7 @@ def _check_search(cfg, target, res, log):
                 steps.append((f_c, rest[0]))
         elif kind == "ripple" and rest[3] != "sweep":
             code, r, kept, asker = rest
+            asked.add((code, f_c))
             # one watched code a run, never asked for again where it is kept, and asked
             # for by a step only where its kept ripples do not settle that step
             codes.add(code)
@@ -443,7 +445,7 @@ def _check_search(cfg, target, res, log):
         elif kind == "filter":
             code, unit = rest
             assert code == 1 or not unit, where
-            filtered.append((code, f_c, unit and not strict))
+            filtered.append((code, f_c, unit and (1, f_c) in asked and not strict))
         elif kind == "sweep":
             r, code, spectra = rest
             # each sweep confirms its run's top or the reported cutoff, the guess only as top
