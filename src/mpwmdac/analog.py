@@ -283,7 +283,7 @@ def _foh_runs(bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray) -> list:
 
     The steps fall into runs over which the pair (u[i], u[i+1]) is constant.
     Each run is (length, adds): adds is None where u[i] = u[i+1] = 0, an idle
-    run, and otherwise (q0, q1, r0, r1), q = u[i] Bd0 and r = u[i+1] Bd1 as
+    run, and otherwise [q0, q1, r0, r1], q = u[i] Bd0 and r = u[i+1] Bd1 as
     Python floats.  A one-term matmul u[i] @ Bd is the plain product, so q
     and r are exactly lsim's.
     """
@@ -292,10 +292,10 @@ def _foh_runs(bd0: np.ndarray, bd1: np.ndarray, u: np.ndarray) -> list:
     firsts = np.flatnonzero((u[1:-1] != u[:-2]) | (u[2:] != u[1:-1])) + 1
     firsts = np.concatenate(([0], firsts))  # each run's first step
     lengths = np.diff(firsts, append=u.size - 1).tolist()
-    qs = (u[firsts, None] * bd0).tolist()
-    rs = (u[firsts + 1, None] * bd1).tolist()
-    idle = ((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist()
-    return [(n, None if skip else (*q, *r)) for n, q, r, skip in zip(lengths, qs, rs, idle)]
+    adds = np.concatenate((u[firsts, None] * bd0, u[firsts + 1, None] * bd1), axis=1).tolist()
+    for i in np.flatnonzero((u[firsts] == 0) & (u[firsts + 1] == 0)).tolist():
+        adds[i] = None
+    return list(zip(lengths, adds))
 
 
 def _foh_states(ad: np.ndarray, runs: list, states: np.ndarray) -> None:
