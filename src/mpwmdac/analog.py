@@ -438,7 +438,7 @@ class _HarmonicRoute:
 
     def __init__(self, cfg: ModulatorConfig) -> None:
         self.cfg = cfg
-        k = np.arange(4 * cfg.steps + 1)
+        k = np.arange(4 * cfg.steps + 1)  # the one place the harmonic count is written
         self.f_k = k * cfg.f_clk / cfg.steps
         self.towers = k % cfg.steps
         self.envelope = _hold_envelope(k, cfg.steps)
@@ -454,9 +454,9 @@ class _HarmonicRoute:
     def gap(self, edges: int, beta: float) -> float:
         """LSB bound on |this route's ripple - the exact route's| for a period of at
         most `edges` unit steps whose exact phasors keep |beta| <= `beta`: the
-        `_series_gap` of its harmonics k <= 4 * 2**n and its grid."""
-        size = self.cfg.steps
-        return _series_gap(size, self.omega, edges, beta, 4 * size, _SAMPLES_PER_SLOT)
+        `_series_gap` of the route's harmonics (`f_k`) and its grid."""
+        return _series_gap(self.cfg.steps, self.omega, edges, beta, self.f_k.size - 1,
+                           _SAMPLES_PER_SLOT)
 
     def period(self, bins: np.ndarray) -> np.ndarray:
         """Filtered steady-state period of the pattern with DFT bins `bins`."""

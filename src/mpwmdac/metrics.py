@@ -234,9 +234,11 @@ class _Spectra(_HarmonicRoute):
     code transformed, across retunes too.  Each ripple is kept by code, then
     f_c, for the whole search, so no ripple is filtered twice at one cutoff,
     and `checks` counts the ripples asked for; a code's kept ripples bracket
-    where it crosses a target (`bracket`).  Code D's bits are the first D
-    slots of the fill order, which are the comparator's, and the route is
-    the one `steady_ripple` runs, so each ripple equals it bit for bit.
+    where it crosses a target (`bracket`), and `within` decides each step of
+    the search from that bracket, filtering only strictly inside it.  Code
+    D's bits are the first D slots of the fill order, which are the
+    comparator's, and the route is the one `steady_ripple` runs, so each
+    ripple equals it bit for bit.
     """
 
     def __init__(self, cfg: ModulatorConfig) -> None:
@@ -277,39 +279,33 @@ class _Spectra(_HarmonicRoute):
         return (max((f for f, r in kept.items() if r <= target), default=0.0),
                 min((f for f, r in kept.items() if r > target), default=math.inf))
 
-    def settled(self, code: int, f_c: float, target: float) -> bool | None:
-        """Whether `code` is within `target` at `f_c`, from its `bracket` (a, b): not
-        at or above b, else so at or below a, None strictly between.  This holds
-        where its ripple does not decrease between f_c and the kept cutoff."""
-        a, b = self.bracket(code, target)
-        return None if a < f_c < b else f_c < b
+    def within(self, code: int, f_c: float, target: float) -> bool:
+        """Whether `code` is within `target` at `f_c` Hz: the cutoff search's step rule.
 
-    def probe(self, code: int, target: float) -> None:
-        """Filter `code` at a few more cutoffs, so that kept ripples of it within and
-        past `target` lie within a factor 1 + _REL_TOL / 2 of each other.
-
-        Each probe is a secant step on log ripple against log f_c between the
-        ends a, within the target, and b, past it, of the code's `bracket`, held
-        to [a w, b / w], w = 1 + _REL_TOL / 2.  So each probe moves an end by at
-        least w, and a probe next to an end lands across the crossing.  Probing
-        stops when that range holds no cutoff strictly between a and b, that is
-        when b <= a w, and wherever the bracket has an open end or gives no
-        secant.
+        The code's `bracket` (a, b) decides an f_c not strictly between: within
+        below b, past it at or above b.  This holds where the code's ripple does
+        not decrease between f_c and the kept cutoff.  Strictly between, the code
+        is filtered at a probe and the bracket is read again.  A probe is the
+        secant step on log ripple against log f_c between a and b, held to
+        [a w, b / w], w = 1 + _REL_TOL / 2, or to b / w where that lies below
+        a w, so a probe next to an end lands across the crossing.  Where no
+        probe fits strictly between, as where b <= a w or the ends give no
+        secant, the code is filtered at f_c itself, which then decides.
         """
         width = 1 + _REL_TOL / 2
         while True:
             a, b = self.bracket(code, target)
-            if not 0 < a < b < math.inf:
-                return
-            ra, rb = self.ripples[code][a], self.ripples[code][b]
-            rise = math.log(rb / ra) if ra > 0 else 0.0
-            if rise <= 0:
-                return
-            x = a * (b / a) ** (math.log(target / ra) / rise)
-            f_c = min(max(x, a * width), b / width)
             if not a < f_c < b:
-                return
-            self.tune(FilterModel(f_c))
+                return f_c < b
+            at = f_c
+            if 0 < a and b < math.inf:
+                ra, rb = self.ripples[code][a], self.ripples[code][b]
+                rise = math.log(rb / ra) if ra > 0 else 0.0
+                if rise > 0:
+                    probe = a * (b / a) ** (math.log(target / ra) / rise)
+                    probe = min(max(probe, a * width), b / width)
+                    at = probe if a < probe < b else f_c
+            self.tune(FilterModel(at))
             self.ripple(code)
 
 
@@ -390,14 +386,12 @@ class CutoffResult:
 
     sweeps counts the full sweeps over every duty code: at each confirmation
     and at the reported cutoff.  ripple_checks counts the harmonic-route
-    ripples the search asked for: the watched code's at the guess, at each
-    halving or doubling step and each probe, at each bisection step that its
-    kept ripples do not settle, and the screen re-checks up to the first code
-    past the target, whether the ripple was filtered then or kept from
-    earlier.  A step settled from the watched code's kept ripples
-    (`_Spectra.settled`) asks for none.  The re-check count depends on the
-    screen a sweep runs (`_worst_ripple`), exact edge phasors or running
-    sums; the other fields do not.
+    ripples the search asked for: the watched code's at each probe and at
+    each step its kept ripples do not decide (`_Spectra.within`), and the
+    screen re-checks up to the first code past the target, whether the
+    ripple was filtered then or kept from earlier.  The re-check count
+    depends on the screen a sweep runs (`_worst_ripple`), exact edge
+    phasors or running sums; the other fields do not.
     """
 
     f_ct: float
@@ -418,30 +412,29 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     ripple over all duty codes (`worst_steady_ripple`).  Every step, the
     guess included, asks about one watched code alone, code 2**(n-1) at
     first, one past it where sf > 0: if it exceeds the target, so does the
-    maximum, and the step is out of budget; else it is held in budget.  Each
-    harmonic ripple is kept by code, then f_c, so a rerun filters no ripple
-    twice.  Before each run bisects, a few probes filter the watched code
-    until its kept ripples within and past the target lie within a factor
-    1 + _REL_TOL / 2 (`_Spectra.probe`).  Its kept ripples then decide each
-    step with no filtering, held in budget at or below the largest kept
-    f_c*T where it is within the target and out at or above the smallest
-    where it is past it (`_Spectra.settled`); only steps strictly between
-    are filtered.  This assumes that the watched code's ripple does not
-    decrease between the step and the kept f_c*T, the monotonicity the
-    bisection relies on anyway.  Probes move neither lo, hi nor the largest
-    f_c*T held in budget, so the bisection asks the same steps.  One sweep
-    then confirms the largest f_c*T held in budget.  If another code exceeds
-    the target there, the first one the sweep finds becomes the watched
-    code (`_worst_ripple`), its ripple past the target there kept, so no
-    later step at or above that f_c*T is held in budget, and the bracketing
-    and bisection run again.  The reported ripple and code come from a sweep
-    at the final lo.  The result is that of a sweep at every step wherever
-    the worst ripple is non-decreasing in f_c*T, which bisection assumes
-    anyway.  That holds on [1e-3, SN] for every PWM/MPWM/PCM config with
-    n <= 8, for PWM, MPWM sf 3 and 7 and PCM at n = 10, and for PWM and MPWM
-    sf 3 at n = 12; the first decrease seen lies near 1.45 * SN (PWM), where
-    the ripple exceeds full scale.  For PWM the rule-of-thumb closed form is
-    reported alongside.
+    maximum, and the step is out of budget; else it is held in budget.  One
+    rule decides each step (`_Spectra.within`): the watched code's kept
+    harmonic ripples hold it in budget at or below the largest kept f_c*T
+    where the code is within the target and out at or above the smallest
+    where it is past it, with no filtering.  A step strictly between filters
+    the code at secant probes until the kept ripples decide it, or at the
+    step itself where no probe fits.  This assumes that the watched code's
+    ripple does not decrease between the step and the kept f_c*T, the
+    monotonicity the bisection relies on anyway.  Each harmonic ripple is
+    kept by code, then f_c, so a rerun filters no ripple twice.  Probes move
+    neither lo, hi nor the largest f_c*T held in budget, so the bisection
+    asks the same steps.  One sweep then confirms the largest f_c*T held in
+    budget.  If another code exceeds the target there, the first one the
+    sweep finds becomes the watched code (`_worst_ripple`), its ripple past
+    the target there kept, so no later step at or above that f_c*T is held
+    in budget, and the bracketing and bisection run again.  The reported
+    ripple and code come from a sweep at the final lo.  The result is that
+    of a sweep at every step wherever the worst ripple is non-decreasing in
+    f_c*T, which bisection assumes anyway.  That holds on [1e-3, SN] for
+    every PWM/MPWM/PCM config with n <= 8, for PWM, MPWM sf 3 and 7 and PCM
+    at n = 10, and for PWM and MPWM sf 3 at n = 12; the first decrease seen
+    lies near 1.45 * SN (PWM), where the ripple exceeds full scale.  For PWM
+    the rule-of-thumb closed form is reported alongside.
     """
     ripple_target = _require_real("ripple_target", ripple_target)
 
@@ -449,36 +442,28 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
     spectra = _Spectra(cfg)
     swept: dict[float, tuple[float, int]] = {}  # (worst ripple, its code) by f_cT
 
-    def tune(f_ct: float) -> None:
-        try:
-            fm = FilterModel(f_ct / period)
-        except ParameterError:
-            raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, "
-                                 f"f_c = {f_ct / period} Hz, outside FilterModel's range") from None
-        spectra.tune(fm)
-
     def sweep(f_ct: float) -> tuple[float, int]:
         """(worst ripple, its code) at f_ct, from one sweep per f_ct; where a code
         exceeds the target, the first one found past it (`_worst_ripple`)."""
         if f_ct not in swept:
-            tune(f_ct)
+            spectra.tune(FilterModel(f_ct / period))
             swept[f_ct] = _worst_ripple(spectra, ripple_target)
         return swept[f_ct]
 
     def within(f_ct: float) -> bool:
-        """Whether the watched code is within the target at f_ct, read from its kept
-        ripples where they settle it."""
+        """Whether the watched code is within the target at f_ct (`_Spectra.within`)."""
         nonlocal top
-        held = spectra.settled(watched, f_ct / period, ripple_target)
-        if held is None:
-            tune(f_ct)
-            held = spectra.ripple(watched) <= ripple_target
+        try:
+            held = spectra.within(watched, f_ct / period, ripple_target)
+        except ParameterError:
+            raise ParameterError(f"f_clk = {cfg.f_clk} Hz takes the search to f_cT = {f_ct}, "
+                                 f"f_c = {f_ct / period} Hz, outside FilterModel's range") from None
         if held:
             top = max(top, f_ct)
         return held
 
     rule = cutoff_rule_of_thumb(cfg.n, ripple_target)
-    guess = rule * max(1, cfg.sn)
+    guess = rule * cfg.sn
     _require_real("f_cT guess", guess, _F_CT_FLOOR, above=False)  # below it, ripples round to 0
     # 2**(n-1) is the worst code where sf = 0; where sf > 0 its pulses are equal and pass, so +1
     watched = (1 << (cfg.n - 1)) + (cfg.sf > 0)  # decides each step until a sweep names another
@@ -496,7 +481,6 @@ def required_cutoff(cfg: ModulatorConfig, ripple_target: float) -> CutoffResult:
             hi *= 2.0
             tested.append(hi)
             hi_within = within(hi)
-        spectra.probe(watched, ripple_target)
         while not hi_within and hi / lo > 1.0 + _REL_TOL:
             mid = np.sqrt(lo * hi)
             if within(mid):

@@ -298,9 +298,10 @@ def rearranged_counter(n: int, sf: int) -> np.ndarray:
     return (np.arange((1 << n) >> sf, dtype=np.int64) * sn + rows).reshape(-1)
 
 
-def _require_mpwm_family(cfg: ModulatorConfig) -> None:
-    if cfg.kind not in (Kind.MPWM, Kind.PWM, Kind.PCM):
-        raise ParameterError(f"kind must be one of pwm/pcm/mpwm, got {cfg.kind.value}")
+def _require_kind(cfg: ModulatorConfig, kinds: str) -> None:
+    """Refuse a config whose kind is not one of `kinds`, written "pwm/pcm/mpwm"."""
+    if cfg.kind.value not in kinds.split("/"):
+        raise ParameterError(f"kind must be one of {kinds}, got {cfg.kind.value}")
 
 
 def _fill_order(cfg: ModulatorConfig) -> np.ndarray:
@@ -309,7 +310,7 @@ def _fill_order(cfg: ModulatorConfig) -> np.ndarray:
     Slot s is high for every code above C_R[s], so the codes are nested and
     the order is argsort(C_R), the inverse permutation of C_R.
     """
-    _require_mpwm_family(cfg)
+    _require_kind(cfg, "pwm/pcm/mpwm")
     return np.argsort(rearranged_counter(cfg.n, cfg.sf))
 
 
@@ -320,7 +321,7 @@ def mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
     strictly below the coarse duty code, so code D yields exactly D high
     cycles and code 0 is all-low.
     """
-    _require_mpwm_family(cfg)
+    _require_kind(cfg, "pwm/pcm/mpwm")
     duty = _coerce_duty(cfg, duty)
     cr = rearranged_counter(cfg.n, cfg.sf)
     return BitWaveform((cr < duty.coarse).astype(np.uint8), cfg.f_clk)
@@ -329,7 +330,7 @@ def mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
 def _decoder_words(cfg: ModulatorConfig, duty: int | DutyCode) -> tuple[int, np.ndarray]:
     """The decoder's wave-select value `data` and its (SN, 2**n / SN) 0/1 words,
     one row per sub-region, built without C_R."""
-    _require_mpwm_family(cfg)
+    _require_kind(cfg, "pwm/pcm/mpwm")
     duty = _coerce_duty(cfg, duty)
     data = duty.coarse >> cfg.sf
     rem = duty.coarse & (cfg.sn - 1)
@@ -366,8 +367,7 @@ def fons_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> BitWaveform:
     floor(k*D/2**n).  The accumulator starts at 0 and returns to 0 at the
     period end, so every period carries exactly D high cycles.
     """
-    if cfg.kind != Kind.FONS:
-        raise ParameterError(f"kind must be fons for this generator, got {cfg.kind.value}")
+    _require_kind(cfg, "fons")
     duty = _coerce_duty(cfg, duty)
     k = np.arange(cfg.steps + 1, dtype=np.int64)
     carry = (k * duty.coarse) // cfg.steps
@@ -382,8 +382,7 @@ def hr_mpwm_wave(cfg: ModulatorConfig, duty: int | DutyCode) -> EdgeList:
     with a nonzero fine code yields a single sliver pulse of fine * t_d at
     the period start.
     """
-    if cfg.kind != Kind.HRMPWM:
-        raise ParameterError(f"kind must be hrmpwm for this generator, got {cfg.kind.value}")
+    _require_kind(cfg, "hrmpwm")
     duty = _coerce_duty(cfg, duty)
     base = mpwm_wave(replace(cfg, kind=Kind.MPWM, fine_bits=0), DutyCode(duty.coarse))
     edges = EdgeList.from_bits(base)
@@ -429,7 +428,7 @@ def edge_count_formula(cfg: ModulatorConfig, duty: int | DutyCode) -> int:
     D for D <= SN, SN in the middle range, 2**n - D for D > 2**n - SN.
     Equals count_pulses(mpwm_wave(cfg, D)) for every D.
     """
-    _require_mpwm_family(cfg)
+    _require_kind(cfg, "pwm/pcm/mpwm")
     duty = _coerce_duty(cfg, duty)
     d = duty.coarse
     sn = cfg.sn

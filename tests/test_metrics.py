@@ -356,21 +356,24 @@ _RERUNS = [(ModulatorConfig.mpwm(4, 3), 1.0), (ModulatorConfig.mpwm(8, 4), 0.25)
 def _observed(monkeypatch):
     """The events of each `required_cutoff` from now on, in order:
 
-    ("step", f_c, held): a step's `_Spectra.settled`, None where the ripple asked next decides;
     ("ripple", f_c, code, ripple, kept, asker): a ripple asked for, whether it was kept
-        before, and whether a "step", a "probe" or a "sweep" asked for it;
-    ("probe", a, b): the watched code's `_Spectra.bracket` after its probes;
+        before, and whether a "step" (`_Spectra.within`) or a "sweep" asked for it;
+    ("step", f_c, held, code, kept): a step's `_Spectra.within`, logged once it returns,
+        after the ripples it asked for; `kept` holds the code's kept ripples by f_c
+        as the step began;
     ("filter", f_c, code, unit): a filtering, `unit` where a sweep takes its unit response,
         which no ripple asked for;
     ("sweep", f_c, ripple, code, spectra): a sweep, its worst ripple and code.
     """
-    log, asker, asking = [], ["step"], [False]
-    settled, ripple, probe = _Spectra.settled, _Spectra.ripple, _Spectra.probe
+    log, asker, asking = [], [None], [False]
+    within, ripple = _Spectra.within, _Spectra.ripple
     period_of, worst_ripple = _Spectra._period_of, metrics._worst_ripple
 
-    def settling(spectra, code, f_c, target):
-        held = settled(spectra, code, f_c, target)
-        log.append(("step", f_c, held))
+    def stepping(spectra, code, f_c, target):
+        kept, asker[0] = dict(spectra.ripples.get(code, {})), "step"
+        held = within(spectra, code, f_c, target)
+        asker[0] = None
+        log.append(("step", f_c, held, code, kept))
         return held
 
     def asked(spectra, code):
@@ -384,24 +387,43 @@ def _observed(monkeypatch):
         log.append(("filter", spectra.f_c, code, not asking[0]))
         return period_of(spectra, code)
 
-    def probed(spectra, code, target):
-        asker[0] = "probe"
-        probe(spectra, code, target)
-        asker[0] = "step"
-        log.append(("probe", *spectra.bracket(code, target)))
-
     def swept(spectra, *args):
         asker[0] = "sweep"
         result = worst_ripple(spectra, *args)
-        asker[0] = "step"
+        asker[0] = None
         log.append(("sweep", spectra.f_c, *result, spectra))
         return result
 
-    for name, hook in [("settled", settling), ("ripple", asked), ("_period_of", filtered),
-                       ("probe", probed)]:
+    for name, hook in [("within", stepping), ("ripple", asked), ("_period_of", filtered)]:
         monkeypatch.setattr(_Spectra, name, hook)
     monkeypatch.setattr(metrics, "_worst_ripple", swept)
     return log
+
+
+def _bracket(kept, target):
+    """The `_Spectra.bracket` of a code whose kept ripples by f_c are `kept`."""
+    return (max((f for f, r in kept.items() if r <= target), default=0.0),
+            min((f for f, r in kept.items() if r > target), default=math.inf))
+
+
+def _check_step(f_c, held, kept, filterings, target, where):
+    """One `_Spectra.within` call at f_c that began with the code's kept ripples `kept`,
+    filtered it at each (cutoff, ripple) of `filterings` in order and returned `held`."""
+    width = 1 + _REL_TOL / 2
+    kept = dict(kept)
+    for at, r in filterings:
+        a, b = _bracket(kept, target)
+        # a code is filtered only at a step strictly inside its bracket; a probe only
+        # where both ends are kept and give a secant and b / w > a, that is b > a w
+        assert a < f_c < b, where
+        fits = 0 < a and b < math.inf and kept[a] > 0 and kept[b] / kept[a] > 1 and b / width > a
+        if at == f_c:
+            assert not fits, where  # the step's own f_c, only where no probe fits
+        else:  # a probe held to [a w, b / w], or at b / w where b / w < a w
+            assert fits and a < at and min(a * width, b / width) <= at <= b / width, where
+        kept[at] = r
+    a, b = _bracket(kept, target)
+    assert not a < f_c < b and held == (f_c < b), where  # the bracket decides the step
 
 
 def _check_search(cfg, target, res, log):
@@ -417,36 +439,31 @@ def _check_search(cfg, target, res, log):
     # one; only where the search reruns is that case held to the rule too
     strict = where in _RERUNS
     filtered, failed, asked = [], [], set()
-    steps, codes, bracket, pending, swept = [], set(), None, None, False
-    for kind, f_c, *rest in log:  # for a probe, f_c is its bracket's low end
-        if kind == "step":
-            assert pending is None, where
-            if swept:  # a step after a sweep starts the next run of the bisection
-                steps, codes, bracket, swept = [], set(), None, False
-            if rest[0] is None:
-                pending = f_c
-            else:
-                steps.append((f_c, rest[0]))
-        elif kind == "ripple" and rest[3] != "sweep":
+    steps, codes, filterings, swept = [], set(), [], False
+    for kind, f_c, *rest in log:
+        stepping = kind == "step" or kind == "ripple" and rest[3] != "sweep"
+        if stepping and swept:  # a step after a sweep starts the next run of the bisection
+            steps, codes, swept = [], set(), False
+        if kind == "ripple" and stepping:
             code, r, kept, asker = rest
+            assert asker == "step", where
             asked.add((code, f_c))
-            # one watched code a run, never asked for again where it is kept, and asked
-            # for by a step only where its kept ripples do not settle that step
+            # one watched code a run, never asked for again where it is kept
             codes.add(code)
             assert len(codes) == 1 and not kept, where
-            assert pending == (f_c if asker == "step" else None), where
-            if asker == "step":
-                steps.append((f_c, r <= target))
-                pending = None
-                # after the probes, only steps strictly inside the probed bracket are filtered
-                assert bracket is None or bracket[0] < f_c < bracket[1], where
-        elif kind == "probe":
-            bracket = (f_c, rest[0])
+            filterings.append((f_c, r))
+        elif kind == "step":
+            held, code, kept = rest
+            assert codes <= {code}, where
+            _check_step(f_c, held, kept, filterings, target, where)
+            steps.append((f_c, held))
+            filterings = []
         elif kind == "filter":
             code, unit = rest
             assert code == 1 or not unit, where
             filtered.append((code, f_c, unit and (1, f_c) in asked and not strict))
         elif kind == "sweep":
+            assert filterings == [], where
             r, code, spectra = rest
             # each sweep confirms its run's top or the reported cutoff, the guess only as top
             top = max((f for f, held in steps if held), default=0.0)
@@ -454,16 +471,18 @@ def _check_search(cfg, target, res, log):
             if r > target:
                 failed.append((f_c, code, spectra))
             swept = True
-    assert pending is None, where
+    assert filterings == [], where
     assert len(filtered) == len(set(filtered)), where  # no code filtered twice at one cutoff
     assert failed or not strict, where
     for f_c, code, spectra in failed:
         # a sweep past the target keeps its worst code's ripple there, so that code's kept
-        # ripples refuse every step at or above this cutoff (these calls log steps too)
+        # ripples refuse every step at or above this cutoff, and ask for no ripple doing so
         assert spectra.ripples[code][f_c] > target, where
         above = [f for f in spectra.ripples[code] if f >= f_c]
+        checks = spectra.checks
         for f in [*above, *(f_c * np.geomspace(1, 16 * cfg.sn, 9)).tolist()]:
-            assert spectra.settled(code, f, target) is False, (where, code, f_c, f)
+            assert spectra.within(code, f, target) is False, (where, code, f_c, f)
+        assert spectra.checks == checks, where
 
 
 _reference = functools.cache(_reference_cutoff)  # the tests below share searches

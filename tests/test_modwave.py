@@ -15,6 +15,7 @@ from mpwmdac import (
     ParameterError,
     bit_reverse,
     count_pulses,
+    decoder_states,
     edge_count_formula,
     fons_wave,
     generate,
@@ -331,12 +332,20 @@ def test_fine_code_validation():
 
 
 def test_generator_kind_checks():
-    with pytest.raises(ParameterError, match="pwm/pcm/mpwm"):
-        mpwm_wave(ModulatorConfig.fons(5), 3)
-    with pytest.raises(ParameterError, match="fons"):
-        fons_wave(ModulatorConfig.pwm(5), 3)
-    with pytest.raises(ParameterError, match="hrmpwm"):
-        hr_mpwm_wave(ModulatorConfig.mpwm(5, 1), 3)
+    # every generator refuses every kind it does not make, naming the kinds it does
+    configs = [ModulatorConfig.pwm(5), ModulatorConfig.pcm(5), ModulatorConfig.mpwm(5, 1),
+               ModulatorConfig.fons(5), ModulatorConfig.hr_mpwm(5, 1)]
+    family = "pwm/pcm/mpwm"
+    for generator, kinds in [(mpwm_wave, family), (mpwm_wave_decoder, family),
+                             (decoder_states, family), (edge_count_formula, family),
+                             (fons_wave, "fons"), (hr_mpwm_wave, "hrmpwm")]:
+        for cfg in configs:
+            if cfg.kind.value in kinds.split("/"):
+                generator(cfg, 3)
+            else:
+                with pytest.raises(ParameterError,
+                                   match=f"^kind must be one of {kinds}, got {cfg.kind.value}$"):
+                    generator(cfg, 3)
 
 
 def test_generate_matches_the_kind_generator():
